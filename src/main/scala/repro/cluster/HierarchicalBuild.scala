@@ -1,6 +1,6 @@
 package repro.cluster
 
-import repro.core.VectorMath
+import repro.core.{Lire, VectorMath}
 
 /** SPANN's "fast hierarchical balanced clustering" (§3.1): recursively
   * bisect with [[BalancedKMeans.split2]] until every partition is at most
@@ -54,15 +54,11 @@ object HierarchicalBuild {
     recurse(points.indices, 0)
     val centroids = parts.map(idx => VectorMath.mean(idx.map(points(_)))).toIndexedSeq
 
-    // Closure replica assignment against the final centroid set. Squared
-    // distances: (1+eps) on true distance is (1+eps)^2 on squared distance.
-    val slack = (1.0 + eps) * (1.0 + eps)
+    // Closure replica assignment against the final centroid set.
+    val partIds = Array.tabulate(centroids.length)(_.toLong)
+    val vecs = centroids.toArray
     val memberships = points.map { p =>
-      val scored = centroids.indices
-        .map(c => (VectorMath.sqDist(p, centroids(c)), c))
-        .sortBy(identity)
-      val dMin = scored.head._1
-      scored.takeWhile(_._1 <= dMin * slack + 1e-12).take(maxReplicas).map(_._2)
+      Lire.closure(VectorMath.nearestK(p, partIds, vecs, vecs.length, maxReplicas).result, eps).map(_.toInt)
     }
     Layout(centroids, memberships)
   }

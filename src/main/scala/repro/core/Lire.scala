@@ -31,6 +31,22 @@ object Lire {
     newCs.exists(c => sqDist(v, c) <= dOld)
   }
 
+  /** Closure assignment (SPANN §3.1): given a vector's nearest postings
+    * (ascending squared distance, at most `maxReplicas` of them, as
+    * [[repro.centroid.CentroidIndex.nearest]] or [[VectorMath.nearestK]]
+    * return them), the vector joins the nearest one and every other within
+    * `(1+eps)` of the nearest distance — `(1+eps)^2` on squared distance.
+    * The single rule behind the initial build, inserts and reassign moves
+    * of both engines.
+    */
+  def closure(nearest: Seq[(Long, Double)], eps: Double): Seq[Long] =
+    if (nearest.isEmpty) Seq.empty
+    else {
+      val slack = (1.0 + eps) * (1.0 + eps)
+      val bound = nearest.head._2 * slack + 1e-12
+      nearest.takeWhile(_._2 <= bound).map(_._1)
+    }
+
   /** Split trigger (§3.2): posting length after GC exceeds the limit. */
   def needsSplit(liveLen: Int, cfg: LireConfig): Boolean = liveLen > cfg.splitLimit
 

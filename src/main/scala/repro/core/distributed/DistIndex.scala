@@ -7,7 +7,7 @@ import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 
 import repro.cluster.HierarchicalBuild
-import repro.core.{LireConfig, VectorMath, VersionMap}
+import repro.core.{Lire, LireConfig, VectorMath, VersionMap}
 
 /** One on-lake posting tuple — the Parquet mirror of the Block Controller's
   * `<vector id, version, raw vector>` record (§4.3).
@@ -71,11 +71,31 @@ final class DistIndex private[distributed] (
   /** Immutable snapshot of the centroid map for broadcasting into UDFs. */
   def centroidSnapshot: Array[(Long, Array[Float])] = centroids.toArray
 
+  /** The centroid map as parallel (pids, vectors) arrays: the form
+    * [[VectorMath.nearestK]] scans, broadcast into the UDFs that need
+    * nearest postings.
+    */
+  private[distributed] def centroidArrays: (Array[Long], Array[Array[Float]]) = centroidSnapshot.unzip
+
   /** Driver-side nearest-centroid search (the SPTAG role). */
-  def nearestPids(v: Array[Float], k: Int): Seq[Long] =
-    centroids.toSeq
-      .map { case (pid, c) => (VectorMath.sqDist(v, c), pid) }
-      .sorted.take(k).map(_._2)
+  def nearestPids(v: Array[Float], k: Int): Seq[Long] = {
+    val (pids, vecs) = centroidArrays
+    VectorMath.nearestK(v, pids, vecs, pids.length, k).ids.toSeq
+  }
+
+  /** UDF: a vector's closure posting set ([[Lire.closure]] over its
+    * `maxReplicas` nearest centroids), against a broadcast of the current
+    * centroids.
+    */
+  private def closureUdf: UserDefinedFunction = {
+    val bc = spark.sparkContext.broadcast(centroidArrays)
+    val eps = cfg.replicaEpsilon
+    val maxRep = cfg.maxReplicas
+    udf { (vec: Seq[Float]) =>
+      val (pids, vecs) = bc.value
+      Lire.closure(VectorMath.nearestK(vec.toArray, pids, vecs, pids.length, maxRep).result, eps)
+    }
+  }
 
   /** Vector states that differ from the freshly-inserted default — the only
     * part of the version map queries need (kept small for broadcast).
@@ -124,18 +144,9 @@ final class DistIndex private[distributed] (
     */
   def insertBatch(vectors: DataFrame): Unit = {
     require(centroids.nonEmpty, "insertBatch before build")
-    val bc = spark.sparkContext.broadcast(centroidSnapshot)
-    val eps2 = (1.0 + cfg.replicaEpsilon) * (1.0 + cfg.replicaEpsilon)
-    val maxRep = cfg.maxReplicas
-    val assignUdf = udf { (vec: Seq[Float]) =>
-      val v = vec.toArray
-      val scored = bc.value.map { case (pid, c) => (VectorMath.sqDist(v, c), pid) }.sortBy(identity)
-      val dMin = scored.head._1
-      scored.takeWhile(_._1 <= dMin * eps2 + 1e-12).take(maxRep).map(_._2)
-    }
     val assigned = vectors.select(
       col("id").as("vid"),
-      explode(assignUdf(col("vec"))).as("pid"),
+      explode(closureUdf(col("vec"))).as("pid"),
       lit(0).as("version"),
       col("vec"),
     )
@@ -161,12 +172,10 @@ final class DistIndex private[distributed] (
     */
   def search(queries: DataFrame, k: Int, probes: Int = -1): DataFrame = {
     val nProbes = if (probes > 0) probes else cfg.searchProbes
-    val bc = spark.sparkContext.broadcast(centroidSnapshot)
+    val bc = spark.sparkContext.broadcast(centroidArrays)
     val probeUdf = udf { (qvec: Seq[Float]) =>
-      val q = qvec.toArray
-      bc.value
-        .map { case (pid, c) => (VectorMath.sqDist(q, c), pid) }
-        .sortBy(identity).take(nProbes).map(_._2)
+      val (pids, vecs) = bc.value
+      VectorMath.nearestK(qvec.toArray, pids, vecs, pids.length, nProbes).ids
     }
     // Double arithmetic so results are bit-identical to the SQL oracle.
     val sqDistUdf = udf { (a: Seq[Float], b: Seq[Float]) =>
@@ -267,19 +276,9 @@ object DistIndex {
 
     // Replica assignment as a Catalyst job: broadcast centroids, emit one
     // row per (vector, member posting).
-    val bc = spark.sparkContext.broadcast(
-      partToPid.map { case (part, pid) => (pid, layout.centroids(part)) }.toArray)
-    val eps2 = (1.0 + cfg.replicaEpsilon) * (1.0 + cfg.replicaEpsilon)
-    val maxRep = cfg.maxReplicas
-    val membershipUdf = udf { (vec: Seq[Float]) =>
-      val v = vec.toArray
-      val scored = bc.value.map { case (pid, c) => (VectorMath.sqDist(v, c), pid) }.sortBy(identity)
-      val dMin = scored.head._1
-      scored.takeWhile(_._1 <= dMin * eps2 + 1e-12).take(maxRep).map(_._2)
-    }
     val rows = vectors.select(
       col("id").as("vid"),
-      explode(membershipUdf(col("vec"))).as("pid"),
+      explode(idx.closureUdf(col("vec"))).as("pid"),
       lit(0).as("version"),
       col("vec"),
     )

@@ -170,12 +170,11 @@ final class DistRebalancer(idx: DistIndex) {
     // round (their vectors already went through condition 1).
     val neighborMap: Map[Long, Seq[Long]] =
       if (cfg.reassignRange == 0) Map.empty
-      else splitInfo.map { case (pid, (oldC, _, _)) =>
-        val nbrs = preCentroids
-          .filter { case (p, _) => !splitPids.contains(p) }
-          .map { case (p, c) => (VectorMath.sqDist(oldC, c), p) }
-          .sortBy(identity).take(cfg.reassignRange).map(_._2).toSeq
-        pid -> nbrs
+      else {
+        val (pids, vecs) = preCentroids.filter { case (p, _) => !splitPids.contains(p) }.unzip
+        splitInfo.map { case (pid, (oldC, _, _)) =>
+          pid -> VectorMath.nearestK(oldC, pids, vecs, pids.length, cfg.reassignRange).ids.toSeq
+        }
       }
     val neighborToSplits: Map[Long, Seq[Long]] =
       neighborMap.toSeq.flatMap { case (sp, nbrs) => nbrs.map(_ -> sp) }
@@ -229,12 +228,8 @@ final class DistRebalancer(idx: DistIndex) {
     val plan = scala.collection.mutable.Map.empty[Long, Long]
     undersized.toSeq.sorted.foreach { pid =>
       if (!consumed(pid) && !targets(pid) && idx.centroids.size - consumed.size > 1) {
-        val c = idx.centroids(pid)
-        val near = idx.centroids.toSeq
-          .filter { case (p, _) => p != pid && !consumed(p) }
-          .map { case (p, cc) => (VectorMath.sqDist(c, cc), p) }
-          .sorted.headOption
-        near.foreach { case (_, target) =>
+        val (pids, vecs) = idx.centroidSnapshot.filter { case (p, _) => p != pid && !consumed(p) }.unzip
+        VectorMath.nearestK(idx.centroids(pid), pids, vecs, pids.length, 1).ids.headOption.foreach { target =>
           plan.update(pid, target)
           consumed += pid
           targets += target
@@ -282,22 +277,17 @@ final class DistRebalancer(idx: DistIndex) {
       candidates: DataFrame,
       base: DataFrame,
   ): (Long, Long, DataFrame) = {
-    val bcC = spark.sparkContext.broadcast(idx.centroidSnapshot)
+    val centroids = idx.centroidArrays
+    val bcC = spark.sparkContext.broadcast(centroids)
+    val bcHome = spark.sparkContext.broadcast(idx.centroids.toMap)
     // A vid may be a candidate from several postings (replicas): keep the
     // one closest to its current home — the primary — for the NPA check.
     val homeDistUdf = udf { (fromPid: Long, vec: Seq[Float]) =>
-      val v = vec.toArray
-      bcC.value.collectFirst { case (p, c) if p == fromPid => VectorMath.sqDist(v, c) }
-        .getOrElse(Double.MaxValue)
+      bcHome.value.get(fromPid).map(VectorMath.sqDist(vec.toArray, _)).getOrElse(Double.MaxValue)
     }
     val bestUdf = udf { (vec: Seq[Float]) =>
-      val v = vec.toArray
-      var bestPid = -1L; var bestD = Double.MaxValue
-      bcC.value.foreach { case (pid, c) =>
-        val d = VectorMath.sqDist(v, c)
-        if (d < bestD || (d == bestD && pid < bestPid)) { bestD = d; bestPid = pid }
-      }
-      bestPid
+      val (pids, vecs) = bcC.value
+      VectorMath.nearestK(vec.toArray, pids, vecs, pids.length, 1).ids.headOption.getOrElse(-1L)
     }
     val w = Window.partitionBy("vid").orderBy(col("homeD").asc, col("fromPid").asc)
     val scored = candidates
@@ -315,16 +305,13 @@ final class DistRebalancer(idx: DistIndex) {
 
     // Driver-side CAS version bumps (§4.2.2); losers abort silently. The
     // move writes through the closure rule (boundary replicas preserved).
-    val eps2 = (1.0 + cfg.replicaEpsilon) * (1.0 + cfg.replicaEpsilon)
+    val (pids, vecs) = centroids
     val movedRows = moves.flatMap { r =>
       val vid = r.getLong(0)
       idx.versions.tryBumpVersion(vid, r.getInt(2)).toSeq.flatMap { newVer =>
         val v = r.getSeq[Float](3).toArray
-        val scored = idx.centroidSnapshot
-          .map { case (pid, c) => (VectorMath.sqDist(v, c), pid) }.sortBy(identity)
-        val dMin = scored.head._1
-        scored.takeWhile(_._1 <= dMin * eps2 + 1e-12).take(cfg.maxReplicas)
-          .map { case (_, pid) => PostingRow(vid, pid, newVer, v) }
+        val nearest = VectorMath.nearestK(v, pids, vecs, pids.length, cfg.maxReplicas).result
+        Lire.closure(nearest, cfg.replicaEpsilon).map(pid => PostingRow(vid, pid, newVer, v))
       }
     }.toSeq
     import spark.implicits._

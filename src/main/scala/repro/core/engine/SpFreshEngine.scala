@@ -1,5 +1,6 @@
 package repro.core.engine
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 import repro.centroid.{BruteForceCentroidIndex, CentroidIndex}
@@ -157,15 +158,8 @@ final class SpFreshEngine(
     * through this rule so boundary vectors keep their replicas (§5.2 reports
     * 5.47 replicas/vector, "similar to the index built statically").
     */
-  private def closurePids(vec: Array[Float]): Seq[Long] = {
-    val cand = centroids.nearest(vec, cfg.maxReplicas)
-    if (cand.isEmpty) Seq.empty
-    else {
-      val slack = (1.0 + cfg.replicaEpsilon) * (1.0 + cfg.replicaEpsilon)
-      val dMin = cand.head._2
-      cand.takeWhile(_._2 <= dMin * slack + 1e-12).map(_._1)
-    }
-  }
+  private def closurePids(vec: Array[Float]): Seq[Long] =
+    Lire.closure(centroids.nearest(vec, cfg.maxReplicas), cfg.replicaEpsilon)
 
   /** Insert (§4.1 Updater): append to the closure posting set, nearest
     * first — §3.2 inserts "following the original SPANN index design",
@@ -203,6 +197,10 @@ final class SpFreshEngine(
     * return the k nearest live ids. Undersized postings spotted along the
     * way get merge jobs (§4.1: "a merge job is triggered by the Searcher").
     *
+    * Each probed posting is scanned once: one staleness lookup per record
+    * both counts the posting's live length for the merge trigger and admits
+    * the record to a bounded top-k that keeps each id's smallest distance.
+    *
     * `blockBudget` enforces the paper's hard latency cut (§5.1: "the system
     * finishes the result immediately and returns the current search
     * results"): postings are scanned in ascending centroid distance and the
@@ -216,25 +214,27 @@ final class SpFreshEngine(
     val (ids, io) = store.io.measure {
       val cand = centroids.nearest(q, nProbes)
       var blocksUsed = 0L
-      val scored = Seq.newBuilder[(Long, Double)]
+      val top = new VectorMath.TopK(math.max(0, k))
       cand.foreach { case (pid, _) =>
         if (blocksUsed < blockBudget) {
           blocksUsed += store.blockCount(pid)
-          val recs = store.get(pid)
-          if (rebalanceEnabled) {
-            val live = recs.count(r => !versions.isStale(r.vid, r.version))
-            if (Lire.needsMerge(live, cfg) && centroids.size > 1 && centroids.get(pid).isDefined)
-              enqueueMerge(pid)
+          var live = 0
+          val it = store.get(pid).iterator
+          while (it.hasNext) {
+            val r = it.next()
+            if (!versions.isStale(r.vid, r.version)) {
+              live += 1
+              top.offerMin(r.vid, VectorMath.sqDist(q, r.vec))
+            }
           }
-          recs.foreach { r =>
-            if (!versions.isStale(r.vid, r.version))
-              scored += ((r.vid, VectorMath.sqDist(q, r.vec)))
-          }
+          if (rebalanceEnabled && Lire.needsMerge(live, cfg) && centroids.size > 1 &&
+              centroids.get(pid).isDefined)
+            enqueueMerge(pid)
         }
       }
-      VectorMath.topK(scored.result(), k).map(_._1)
+      top.ids
     }
-    SearchResult(ids, OpCost(io, centroids.distanceComputations - d0))
+    SearchResult(ArraySeq.unsafeWrapArray(ids), OpCost(io, centroids.distanceComputations - d0))
   }
 
   /** Block-read cost of a query probing `probes` postings — the IOPS proxy

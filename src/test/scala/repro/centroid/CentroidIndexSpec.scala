@@ -79,6 +79,43 @@ class CentroidIndexSpec extends SparkSpec {
     assert(idx.nearest(Array(0f), 2).map(_._1) == Seq(2L, 9L))
   }
 
+  /** The pre-selection `nearest`: score every centroid, sort, take k. */
+  private def sortedNearest(cs: Map[Long, Array[Float]], q: Array[Float], k: Int): Seq[(Long, Double)] =
+    cs.toSeq.map { case (pid, c) => (pid, VectorMath.sqDist(q, c)) }
+      .sortBy { case (pid, d) => (d, pid) }.take(k)
+
+  test("bounded nearest equals a full sort through interleaved inserts and removes") {
+    val rnd = new Random(10)
+    val idx = new BruteForceCentroidIndex
+    var ref = Map.empty[Long, Array[Float]]
+    var nextPid = 0L
+    // Integer coordinates on a small grid: many centroids tie on distance,
+    // so the lower-pid rule decides the order.
+    def point(): Array[Float] = Array.fill(3)(rnd.nextInt(5).toFloat)
+    (1 to 300).foreach { step =>
+      if (ref.isEmpty || rnd.nextDouble() < 0.6) {
+        val c = point()
+        idx.insert(nextPid, c)
+        ref += nextPid -> c
+        nextPid += 1
+      } else {
+        val victim = ref.keys.toIndexedSeq(rnd.nextInt(ref.size))
+        idx.remove(victim)
+        ref -= victim
+        assert(idx.get(victim).isEmpty)
+        assert(idx.size == ref.size)
+        assert(idx.all.map(_._1).toSet == ref.keySet)
+        ref.foreach { case (pid, c) => assert(idx.get(pid).exists(_ eq c), s"pid $pid at step $step") }
+      }
+      val q = point()
+      Seq(0, 1, 2, 8, 17, ref.size, ref.size + 5).foreach { k =>
+        val before = idx.distanceComputations
+        assert(idx.nearest(q, k) == sortedNearest(ref, q, k), s"k=$k at step $step")
+        assert(idx.distanceComputations == before + ref.size)
+      }
+    }
+  }
+
   test("empty index returns no results") {
     val idx = new BruteForceCentroidIndex
     assert(idx.nearest(Array(1f), 3).isEmpty)

@@ -81,21 +81,6 @@ class VectorMathSpec extends SparkSpec with PropSupport {
     })
   }
 
-  test("argminK returns indices ascending by distance") {
-    val cands = IndexedSeq(Array(10f), Array(1f), Array(5f), Array(0f))
-    assert(VectorMath.argminK(Array(0f), cands, 3) == IndexedSeq(3, 1, 2))
-  }
-
-  test("argminK with k larger than candidates returns all") {
-    val cands = IndexedSeq(Array(1f), Array(2f))
-    assert(VectorMath.argminK(Array(0f), cands, 10).length == 2)
-  }
-
-  test("argminK breaks distance ties by index") {
-    val cands = IndexedSeq(Array(1f), Array(-1f))
-    assert(VectorMath.argminK(Array(0f), cands, 2) == IndexedSeq(0, 1))
-  }
-
   test("topK dedupes ids keeping minimum distance") {
     val scored = Seq((1L, 5.0), (1L, 2.0), (2L, 3.0), (3L, 10.0))
     assert(VectorMath.topK(scored, 2) == Seq((1L, 2.0), (2L, 3.0)))
@@ -108,5 +93,24 @@ class VectorMathSpec extends SparkSpec with PropSupport {
 
   test("topK of empty input is empty") {
     assert(VectorMath.topK(Seq.empty, 5).isEmpty)
+  }
+
+  /** The pre-selection `topK`: dedupe through `groupMapReduce`, sort, take k. */
+  private def sortedTopK(scored: Iterable[(Long, Double)], k: Int): Seq[(Long, Double)] =
+    scored.groupMapReduce(_._1)(_._2)(math.min).toSeq.sortBy { case (id, d) => (d, id) }.take(k)
+
+  test("topK equals dedupe-then-sort on repeated ids, ties and any k") {
+    val rnd = new scala.util.Random(3)
+    (1 to 300).foreach { trial =>
+      val ids = 1 + rnd.nextInt(40)
+      // Few distinct distances, so ties are common; an id recurs with
+      // different distances, as replicas with reused ids do on disk.
+      val scored = Seq.fill(rnd.nextInt(120)) {
+        (rnd.nextInt(ids).toLong, rnd.nextInt(12).toDouble / 4)
+      }
+      Seq(0, 1, 3, 10, ids, ids + 7).foreach { k =>
+        assert(VectorMath.topK(scored, k) == sortedTopK(scored, k), s"trial $trial, k=$k: $scored")
+      }
+    }
   }
 }

@@ -1,8 +1,10 @@
 package repro.core.engine
 
+import scala.collection.mutable
 import scala.util.Random
 
 import repro.SparkSpec
+import repro.centroid.CentroidIndex
 import repro.core.{LireConfig, VectorMath}
 import repro.data.{GroundTruth, VectorGen}
 
@@ -214,5 +216,52 @@ class SpFreshEngineSpec extends SparkSpec {
     assert(first <= 1)
     e.drainJobs()
     assert(e.pendingJobs == 0)
+  }
+
+  /** The pre-selection centroid index: score every centroid, sort, take k. */
+  private final class SortingCentroidIndex extends CentroidIndex {
+    private val map = mutable.LongMap.empty[Array[Float]]
+    private var distComps = 0L
+    override def insert(pid: Long, centroid: Array[Float]): Unit = map.update(pid, centroid)
+    override def remove(pid: Long): Unit = map.remove(pid)
+    override def get(pid: Long): Option[Array[Float]] = map.get(pid)
+    override def nearest(q: Array[Float], k: Int): Seq[(Long, Double)] = {
+      distComps += map.size
+      map.toSeq.map { case (pid, c) => (pid, VectorMath.sqDist(q, c)) }
+        .sortBy { case (pid, d) => (d, pid) }.take(k)
+    }
+    override def size: Int = map.size
+    override def all: Iterator[(Long, Array[Float])] = map.iterator
+    override def distanceComputations: Long = distComps
+  }
+
+  test("engine behaviour is identical under a full-sort centroid index") {
+    val mixture = VectorGen.mixture(dim, 6, seed = 61)
+    val pool = VectorGen.shifted(mixture, seed = 62)
+    val base = VectorGen.draw(mixture, 2000, 0, seed = 63).map(v => (v.id, v.vec))
+    val engines = Seq(new SpFreshEngine(dim, cfg, seed = 64),
+      new SpFreshEngine(dim, cfg, centroids = new SortingCentroidIndex, seed = 64))
+    engines.foreach(_.buildInitial(base))
+    var live = base.map(_._1)
+    var nextId = 10000L
+    val searched = engines.map(_ => mutable.ArrayBuffer.empty[Seq[Long]])
+    (1 to 4).foreach { ep =>
+      val (dels, ins) = VectorGen.epoch(live, pool, 0.05, nextId, seed = 65 + ep)
+      val qs = VectorGen.queries(pool, 20, seed = 70 + ep)
+      engines.zip(searched).foreach { case (e, out) =>
+        dels.foreach(e.delete)
+        ins.foreach(v => e.insert(v.id, v.vec))
+        e.drainJobs()
+        qs.foreach(q => out += e.search(q, 10).ids)
+      }
+      live = live.filterNot(dels.toSet) ++ ins.map(_.id)
+      nextId += ins.length
+    }
+    val Seq(a, b) = engines
+    assert(a.stats.splitsExecuted > 0 && a.stats.reassignExecuted > 0, "the trace must rebalance")
+    assert(a.stats.toString == b.stats.toString)
+    assert(a.rawPostingSizes() == b.rawPostingSizes())
+    assert(a.centroids.distanceComputations == b.centroids.distanceComputations)
+    assert(searched(0) == searched(1))
   }
 }
