@@ -99,9 +99,18 @@ object BalancedKMeans {
     Result(centroids, assignment.toIndexedSeq)
   }
 
-  /** Balanced two-way split of one oversized posting (§4.2.1 split job). */
-  def split2(points: IndexedSeq[Array[Float]], seed: Long = 0): Result =
-    cluster(points, k = 2, seed = seed)
+  /** Balanced two-way split of one oversized posting (§4.2.1 split job) and
+    * of every level of the hierarchical build: the input indices of the two
+    * halves of a balanced 2-means, each ascending. A degenerate clustering
+    * (one side empty, e.g. all duplicates) is cut by force at `n/2`, which
+    * keeps both halves non-empty and so guarantees termination.
+    */
+  def bisect(points: IndexedSeq[Array[Float]], seed: Long): (IndexedSeq[Int], IndexedSeq[Int]) = {
+    val a = cluster(points, k = 2, seed = seed).assignment
+    val (left, right) = points.indices.partition(a(_) == 0)
+    if (left.isEmpty || right.isEmpty) points.indices.splitAt(points.length / 2)
+    else (left, right)
+  }
 
   private def seed1(points: IndexedSeq[Array[Float]], k: Int, rnd: Random): IndexedSeq[Array[Float]] = {
     val first = points(rnd.nextInt(points.length))

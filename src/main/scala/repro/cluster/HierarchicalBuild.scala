@@ -1,9 +1,9 @@
 package repro.cluster
 
-import repro.core.{Lire, VectorMath}
+import repro.core.{Lire, LireConfig, VectorMath}
 
 /** SPANN's "fast hierarchical balanced clustering" (§3.1): recursively
-  * bisect with [[BalancedKMeans.split2]] until every partition is at most
+  * bisect with [[BalancedKMeans.bisect]] until every partition is at most
   * `targetSize`, then compute boundary-closure replica assignment.
   */
 object HierarchicalBuild {
@@ -37,18 +37,8 @@ object HierarchicalBuild {
     def recurse(idx: IndexedSeq[Int], depth: Int): Unit =
       if (idx.length <= targetSize) parts += idx
       else {
-        val sub = idx.map(points(_))
-        val r = BalancedKMeans.split2(sub, seed = seed + depth * 31 + idx.head)
-        val left = idx.indices.filter(i => r.assignment(i) == 0).map(idx(_))
-        val right = idx.indices.filter(i => r.assignment(i) == 1).map(idx(_))
-        // A degenerate split (all duplicates) is cut by force to guarantee
-        // termination, matching SPANN's size-bounded construction.
-        if (left.isEmpty || right.isEmpty) {
-          val (a, b) = idx.splitAt(idx.length / 2)
-          recurse(a, depth + 1); recurse(b, depth + 1)
-        } else {
-          recurse(left, depth + 1); recurse(right, depth + 1)
-        }
+        val (left, right) = BalancedKMeans.bisect(idx.map(points(_)), seed + depth * 31 + idx.head)
+        recurse(left.map(idx), depth + 1); recurse(right.map(idx), depth + 1)
       }
 
     recurse(points.indices, 0)
@@ -61,5 +51,23 @@ object HierarchicalBuild {
       Lire.closure(VectorMath.nearestK(p, partIds, vecs, vecs.length, maxReplicas).result, eps).map(_.toInt)
     }
     Layout(centroids, memberships)
+  }
+
+  /** The initial layout of an index with split limit `cfg.splitLimit`,
+    * the one build both engines run. Closure replication inflates posting
+    * row counts well past the primary partition size (the paper observes
+    * 5.47 replicas/vector), so the build runs two passes: a probe pass at
+    * `0.6·splitLimit` measures the inflation and, when it exceeds 1.5, the
+    * real pass sizes primary partitions at `0.8·splitLimit/inflation` so
+    * the replicated postings land under the split limit. The stragglers
+    * left over go through the engines' normal LIRE split path.
+    */
+  def forSplitLimit(points: IndexedSeq[Array[Float]], cfg: LireConfig, seed: Long): Layout = {
+    def pass(targetSize: Double): Layout =
+      build(points, math.max(1, targetSize.toInt), cfg.replicaEpsilon, cfg.maxReplicas, seed)
+    val probe = pass(cfg.splitLimit * 0.6)
+    val inflation =
+      math.max(1.0, probe.memberships.iterator.map(_.length).sum.toDouble / points.length)
+    if (inflation <= 1.5) probe else pass(cfg.splitLimit * 0.8 / inflation)
   }
 }

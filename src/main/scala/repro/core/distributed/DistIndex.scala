@@ -1,11 +1,10 @@
 package repro.core.distributed
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 
+import repro.centroid.BruteForceCentroidIndex
 import repro.cluster.HierarchicalBuild
 import repro.core.{Lire, LireConfig, VectorMath, VersionMap}
 
@@ -25,7 +24,9 @@ final case class PostingRow(vid: Long, pid: Long, version: Int, vec: Array[Float
   *    every update/rebalance epoch commits a new version directory
   *    (copy-on-write, like the Block Controller's append-only blocks);
   *  - SPTAG centroid index + version map → driver-resident metadata,
-  *    exactly the structures the paper keeps in DRAM (§4.1);
+  *    exactly the structures the paper keeps in DRAM (§4.1): the same
+  *    [[BruteForceCentroidIndex]] and [[VersionMap]] the single-node engine
+  *    uses;
   *  - Updater → [[insertBatch]]/[[deleteBatch]] (micro-batch epochs — the
   *    dataflow form of the paper's online updates, see DESIGN.md);
   *  - Local Rebuilder → [[DistRebalancer]], whose split/merge/reassign
@@ -43,7 +44,7 @@ final class DistIndex private[distributed] (
     val dim: Int,
     val cfg: LireConfig,
 ) {
-  private[distributed] val centroids = mutable.LongMap.empty[Array[Float]]
+  private[distributed] val centroids = new BruteForceCentroidIndex
   private[distributed] val versions = new VersionMap
   private[distributed] var nextPid: Long = 0L
   private var commitSeq: Int = 0
@@ -68,27 +69,18 @@ final class DistIndex private[distributed] (
 
   // ------------------------------------------------------------ driver views
 
-  /** Immutable snapshot of the centroid map for broadcasting into UDFs. */
-  def centroidSnapshot: Array[(Long, Array[Float])] = centroids.toArray
-
-  /** The centroid map as parallel (pids, vectors) arrays: the form
-    * [[VectorMath.nearestK]] scans, broadcast into the UDFs that need
-    * nearest postings.
-    */
-  private[distributed] def centroidArrays: (Array[Long], Array[Array[Float]]) = centroidSnapshot.unzip
+  /** The live (pid, centroid) pairs. */
+  def centroidSnapshot: Array[(Long, Array[Float])] = centroids.all.toArray
 
   /** Driver-side nearest-centroid search (the SPTAG role). */
-  def nearestPids(v: Array[Float], k: Int): Seq[Long] = {
-    val (pids, vecs) = centroidArrays
-    VectorMath.nearestK(v, pids, vecs, pids.length, k).ids.toSeq
-  }
+  def nearestPids(v: Array[Float], k: Int): Seq[Long] = centroids.nearest(v, k).map(_._1)
 
   /** UDF: a vector's closure posting set ([[Lire.closure]] over its
     * `maxReplicas` nearest centroids), against a broadcast of the current
     * centroids.
     */
   private def closureUdf: UserDefinedFunction = {
-    val bc = spark.sparkContext.broadcast(centroidArrays)
+    val bc = spark.sparkContext.broadcast(centroids.arrays)
     val eps = cfg.replicaEpsilon
     val maxRep = cfg.maxReplicas
     udf { (vec: Seq[Float]) =>
@@ -143,7 +135,7 @@ final class DistIndex private[distributed] (
     * by the next [[DistRebalancer.run]].
     */
   def insertBatch(vectors: DataFrame): Unit = {
-    require(centroids.nonEmpty, "insertBatch before build")
+    require(centroids.size > 0, "insertBatch before build")
     val assigned = vectors.select(
       col("id").as("vid"),
       explode(closureUdf(col("vec"))).as("pid"),
@@ -172,16 +164,10 @@ final class DistIndex private[distributed] (
     */
   def search(queries: DataFrame, k: Int, probes: Int = -1): DataFrame = {
     val nProbes = if (probes > 0) probes else cfg.searchProbes
-    val bc = spark.sparkContext.broadcast(centroidArrays)
+    val bc = spark.sparkContext.broadcast(centroids.arrays)
     val probeUdf = udf { (qvec: Seq[Float]) =>
       val (pids, vecs) = bc.value
       VectorMath.nearestK(qvec.toArray, pids, vecs, pids.length, nProbes).ids
-    }
-    // Double arithmetic so results are bit-identical to the SQL oracle.
-    val sqDistUdf = udf { (a: Seq[Float], b: Seq[Float]) =>
-      var s = 0.0; var i = 0
-      while (i < a.length) { val d = a(i).toDouble - b(i).toDouble; s += d * d; i += 1 }
-      s
     }
     val probed = queries
       .withColumn("pid", explode(probeUdf(col("qvec"))))
@@ -190,7 +176,7 @@ final class DistIndex private[distributed] (
     probed
       .join(postings, Seq("pid"))
       .filter(liveUdf(col("vid"), col("version")))
-      .withColumn("dRaw", sqDistUdf(col("qvec"), col("vec")))
+      .withColumn("dRaw", DistIndex.sqDistUdf(col("qvec"), col("vec")))
       .groupBy(col("qid"), col("vid")).agg(min(col("dRaw")).as("d")) // replica dedupe
       .withColumn("rank", row_number().over(w))
       .filter(col("rank") <= k)
@@ -230,6 +216,13 @@ final class DistIndex private[distributed] (
 
 object DistIndex {
 
+  /** UDF: [[VectorMath.sqDist]] over two array columns, the one distance
+    * the lake's search and [[repro.data.GroundTruth.topKDf]] compute. Its
+    * double arithmetic matches the SQL oracles of the tests bit for bit.
+    */
+  val sqDistUdf: UserDefinedFunction =
+    udf((a: Seq[Float], b: Seq[Float]) => VectorMath.sqDist(a.toArray, b.toArray))
+
   /** Initial balanced build (SPANN §3.1 as a lake job): centroids come from
     * hierarchical balanced clustering on the driver (the paper builds them
     * centrally too — they are the in-DRAM metadata); the closure-replica
@@ -248,30 +241,10 @@ object DistIndex {
     val idx = new DistIndex(spark, rootDir, dim, cfg)
     val local = vectors.select("id", "vec").collect()
       .map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
-    // Two-pass build (see SpFreshEngine.buildInitial): a probe pass measures
-    // closure-replica inflation, the real pass sizes primary partitions so
-    // replicated postings land under the split limit; the post-build
+    // The engine's build (HierarchicalBuild.forSplitLimit); the post-build
     // rebalance splits any stragglers so the index starts LIRE-compliant.
-    val probe = HierarchicalBuild.build(
-      local.map(_._2).toIndexedSeq,
-      targetSize = math.max(1, (cfg.splitLimit * 0.6).toInt),
-      eps = cfg.replicaEpsilon,
-      maxReplicas = cfg.maxReplicas,
-      seed = seed,
-    )
-    val inflation =
-      math.max(1.0, probe.memberships.iterator.map(_.length).sum.toDouble / local.length)
-    val layout =
-      if (inflation <= 1.5) probe
-      else HierarchicalBuild.build(
-        local.map(_._2).toIndexedSeq,
-        targetSize = math.max(1, (cfg.splitLimit * 0.8 / inflation).toInt),
-        eps = cfg.replicaEpsilon,
-        maxReplicas = cfg.maxReplicas,
-        seed = seed,
-      )
-    val partToPid = layout.centroids.indices.map(part => part -> idx.freshPid()).toMap
-    layout.centroids.indices.foreach(part => idx.centroids.update(partToPid(part), layout.centroids(part)))
+    val layout = HierarchicalBuild.forSplitLimit(local.map(_._2).toIndexedSeq, cfg, seed)
+    layout.centroids.foreach(c => idx.centroids.insert(idx.freshPid(), c))
     local.foreach { case (vid, _) => idx.versions.register(vid) }
 
     // Replica assignment as a Catalyst job: broadcast centroids, emit one

@@ -77,9 +77,8 @@ final class DistRebalancer(idx: DistIndex) {
     val oversized = idx.rawSizes().filter { case (_, n) => Lire.needsSplit(n.toInt, cfg) }.keySet
     if (oversized.isEmpty) return (0, 0, 0, 0)
 
-    val preCentroids = idx.centroidSnapshot // before this round touches anything
     val live = idx.liveUdf
-    val splitLimit = cfg.splitLimit
+    val lire = cfg // a local, so the executor closure does not capture this rebalancer
     val oversizedSeq = oversized.toSeq
 
     // GC + balanced 2-means per oversized posting, inside executors.
@@ -90,16 +89,14 @@ final class DistRebalancer(idx: DistIndex) {
       .groupByKey(_.pid)
       .flatMapGroups { (pid, it) =>
         val rows = it.toVector.groupBy(_.vid).valuesIterator.map(_.head).toVector
-        if (rows.length <= splitLimit) {
+        if (!Lire.needsSplit(rows.length, lire)) {
           // GC alone fixed it: write back, keep pid and centroid (§4.2.1).
           val empty = Array.empty[Float]
           rows.iterator.map(r => SplitOut(pid, -1, r.vid, r.version, r.vec, empty, empty))
         } else {
-          val r = BalancedKMeans.split2(rows.map(_.vec), seed = pid)
-          val sides = rows.indices.groupBy(r.assignment(_))
-          val (part0, part1) =
-            if (sides.size < 2) rows.splitAt(rows.length / 2)
-            else (sides(0).map(rows(_)).toVector, sides(1).map(rows(_)).toVector)
+          val (side0, side1) = BalancedKMeans.bisect(rows.map(_.vec), seed = pid)
+          val part0 = side0.map(rows)
+          val part1 = side1.map(rows)
           val c0 = VectorMath.mean(part0.map(_.vec))
           val c1 = VectorMath.mean(part1.map(_.vec))
           part0.iterator.map(r => SplitOut(pid, 0, r.vid, r.version, r.vec, c0, c1)) ++
@@ -120,20 +117,28 @@ final class DistRebalancer(idx: DistIndex) {
     val splitPids = meta.collect { case (pid, maxSide, _, _) if maxSide >= 0 => pid }.toSet
     val gcOnlyCount = meta.length - splitPids.size
 
-    // Allocate fresh pids; update the driver centroid map (§4.1: "update the
-    // memory SPTAG index with the new posting centroids").
+    // Allocate fresh pids; update the driver centroid index (§4.1: "update
+    // the memory SPTAG index with the new posting centroids"). The reassign
+    // range of each split (Eq. 2) is the old centroid's nearest postings
+    // among those not split this round (their vectors go through Eq. 1), so
+    // it is taken between removing the old centroids and inserting the new.
     val newPids: Map[Long, (Long, Long)] = meta.collect {
       case (pid, maxSide, _, _) if maxSide >= 0 => pid -> ((idx.freshPid(), idx.freshPid()))
     }.toMap
     val splitInfo: Map[Long, (Array[Float], Array[Float], Array[Float])] = meta.collect {
       case (pid, maxSide, c0, c1) if maxSide >= 0 =>
-        pid -> ((idx.centroids(pid), c0, c1))
+        pid -> ((idx.centroids.get(pid).get, c0, c1))
     }.toMap
+    splitPids.foreach(idx.centroids.remove)
+    val neighborMap: Map[Long, Seq[Long]] =
+      if (cfg.reassignRange == 0) Map.empty
+      else splitInfo.map { case (pid, (oldC, _, _)) =>
+        pid -> idx.centroids.nearest(oldC, cfg.reassignRange).map(_._1)
+      }
     splitInfo.foreach { case (pid, (_, c0, c1)) =>
       val (p0, p1) = newPids(pid)
-      idx.centroids.subtractOne(pid)
-      idx.centroids.update(p0, c0)
-      idx.centroids.update(p1, c1)
+      idx.centroids.insert(p0, c0)
+      idx.centroids.insert(p1, c1)
     }
 
     // Relabel split rows to their new posting ids (GC-only rows keep theirs).
@@ -165,17 +170,7 @@ final class DistRebalancer(idx: DistIndex) {
       .withColumn("fromPid", relabelUdf(col("oldPid"), col("side")))
       .select(col("vid"), col("fromPid"), col("version"), col("vec"))
 
-    // Condition 2 (Eq. 2): vectors in the reassign range of each split —
-    // the old centroid's nearest postings, excluding postings split this
-    // round (their vectors already went through condition 1).
-    val neighborMap: Map[Long, Seq[Long]] =
-      if (cfg.reassignRange == 0) Map.empty
-      else {
-        val (pids, vecs) = preCentroids.filter { case (p, _) => !splitPids.contains(p) }.unzip
-        splitInfo.map { case (pid, (oldC, _, _)) =>
-          pid -> VectorMath.nearestK(oldC, pids, vecs, pids.length, cfg.reassignRange).ids.toSeq
-        }
-      }
+    // Condition 2 (Eq. 2): vectors in the reassign range of each split.
     val neighborToSplits: Map[Long, Seq[Long]] =
       neighborMap.toSeq.flatMap { case (sp, nbrs) => nbrs.map(_ -> sp) }
         .groupMap(_._1)(_._2)
@@ -215,25 +210,22 @@ final class DistRebalancer(idx: DistIndex) {
   private def mergeRound(): (Long, Long, Long) = {
     val liveSz = idx.liveSizes()
     // A posting can be all-stale (size 0 after reassigns): still merge it away.
-    val allPids = idx.centroids.keys.toSet
-    val undersized = allPids
-      .filter(p => Lire.needsMerge(liveSz.getOrElse(p, 0L).toInt, cfg))
+    val undersized = idx.centroids.all.map(_._1)
+      .filter(p => Lire.needsMerge(liveSz.getOrElse(p, 0L).toInt, cfg)).toSeq.sorted
     if (undersized.isEmpty || idx.centroids.size < 2) return (0, 0, 0)
 
-    // Plan merges on the driver: each undersized posting folds into its
-    // nearest surviving posting; postings already consumed or used as a
-    // target this round are skipped (no chains within a round).
-    val consumed = scala.collection.mutable.Set.empty[Long]
+    // Plan merges on the driver: each undersized posting leaves the centroid
+    // index and folds into its nearest remaining posting; postings already
+    // used as a target this round are skipped (no chains within a round).
     val targets = scala.collection.mutable.Set.empty[Long]
     val plan = scala.collection.mutable.Map.empty[Long, Long]
-    undersized.toSeq.sorted.foreach { pid =>
-      if (!consumed(pid) && !targets(pid) && idx.centroids.size - consumed.size > 1) {
-        val (pids, vecs) = idx.centroidSnapshot.filter { case (p, _) => p != pid && !consumed(p) }.unzip
-        VectorMath.nearestK(idx.centroids(pid), pids, vecs, pids.length, 1).ids.headOption.foreach { target =>
-          plan.update(pid, target)
-          consumed += pid
-          targets += target
-        }
+    undersized.foreach { pid =>
+      if (!targets(pid) && idx.centroids.size > 1) {
+        val c = idx.centroids.get(pid).get
+        idx.centroids.remove(pid)
+        val target = idx.centroids.nearest(c, 1).head._1
+        plan.update(pid, target)
+        targets += target
       }
     }
     if (plan.isEmpty) return (0, 0, 0)
@@ -253,8 +245,6 @@ final class DistRebalancer(idx: DistIndex) {
     val kept = idx.postings.filter(!col("pid").isin(mergedPids: _*))
       .select(col("vid"), col("pid"), col("version"), col("vec"))
     val afterMerge = kept.unionByName(movedIn)
-
-    plan.keys.foreach(idx.centroids.subtractOne)
 
     // §3.3: vectors from the deleted posting all need a reassign check.
     val candidates = movedIn.select(col("vid"), col("pid").as("fromPid"), col("version"), col("vec"))
@@ -277,9 +267,8 @@ final class DistRebalancer(idx: DistIndex) {
       candidates: DataFrame,
       base: DataFrame,
   ): (Long, Long, DataFrame) = {
-    val centroids = idx.centroidArrays
-    val bcC = spark.sparkContext.broadcast(centroids)
-    val bcHome = spark.sparkContext.broadcast(idx.centroids.toMap)
+    val bcC = spark.sparkContext.broadcast(idx.centroids.arrays)
+    val bcHome = spark.sparkContext.broadcast(idx.centroids.all.toMap)
     // A vid may be a candidate from several postings (replicas): keep the
     // one closest to its current home — the primary — for the NPA check.
     val homeDistUdf = udf { (fromPid: Long, vec: Seq[Float]) =>
@@ -305,13 +294,12 @@ final class DistRebalancer(idx: DistIndex) {
 
     // Driver-side CAS version bumps (§4.2.2); losers abort silently. The
     // move writes through the closure rule (boundary replicas preserved).
-    val (pids, vecs) = centroids
     val movedRows = moves.flatMap { r =>
       val vid = r.getLong(0)
       idx.versions.tryBumpVersion(vid, r.getInt(2)).toSeq.flatMap { newVer =>
         val v = r.getSeq[Float](3).toArray
-        val nearest = VectorMath.nearestK(v, pids, vecs, pids.length, cfg.maxReplicas).result
-        Lire.closure(nearest, cfg.replicaEpsilon).map(pid => PostingRow(vid, pid, newVer, v))
+        Lire.closure(idx.centroids.nearest(v, cfg.maxReplicas), cfg.replicaEpsilon)
+          .map(pid => PostingRow(vid, pid, newVer, v))
       }
     }.toSeq
     import spark.implicits._

@@ -98,34 +98,14 @@ final class SpFreshEngine(
   // ------------------------------------------------------------------ build
 
   /** Initial balanced index construction (SPANN §3.1): hierarchical
-    * balanced clustering with boundary-closure replicas. Closure
-    * replication inflates posting row counts well past the primary
-    * partition size (the paper observes 5.47 replicas/vector), so the build
-    * runs two passes: a probe pass measures the inflation, then the real
-    * pass sizes primary partitions so the replicated postings land under
-    * the split limit; any stragglers go through the normal LIRE split path.
+    * balanced clustering with boundary-closure replicas, sized for the
+    * split limit by [[HierarchicalBuild.forSplitLimit]]; any stragglers go
+    * through the normal LIRE split path.
     */
   def buildInitial(vectors: Seq[(Long, Array[Float])]): Unit = {
     require(store.numPostings == 0, "buildInitial on a non-empty index")
     val pts = vectors.toIndexedSeq
-    val probe = HierarchicalBuild.build(
-      pts.map(_._2),
-      targetSize = math.max(1, (cfg.splitLimit * 0.6).toInt),
-      eps = cfg.replicaEpsilon,
-      maxReplicas = cfg.maxReplicas,
-      seed = seed,
-    )
-    val inflation =
-      math.max(1.0, probe.memberships.iterator.map(_.length).sum.toDouble / pts.length)
-    val layout =
-      if (inflation <= 1.5) probe
-      else HierarchicalBuild.build(
-        pts.map(_._2),
-        targetSize = math.max(1, (cfg.splitLimit * 0.8 / inflation).toInt),
-        eps = cfg.replicaEpsilon,
-        maxReplicas = cfg.maxReplicas,
-        seed = seed,
-      )
+    val layout = HierarchicalBuild.forSplitLimit(pts.map(_._2), cfg, seed)
     val postingRecs = mutable.LongMap.empty[mutable.ArrayBuffer[VectorRecord]]
     pts.indices.foreach { i =>
       val (vid, vec) = pts(i)
@@ -274,20 +254,16 @@ final class SpFreshEngine(
 
     // GC pass (§4.2.1): if pruning stale replicas already fits the limit,
     // write back and stop — no split needed.
-    if (live.length <= cfg.splitLimit) {
+    if (!Lire.needsSplit(live.length, cfg)) {
       stats.gcOnlySplits += 1
       store.put(pid, live)
       return
     }
 
     stats.splitsExecuted += 1
-    val pts = live.map(_.vec)
-    val r = BalancedKMeans.split2(pts, seed = rnd.nextLong())
-    val sides = live.indices.groupBy(r.assignment(_))
-    // Degenerate clustering (duplicates): force an even cut for termination.
-    val (part0, part1) =
-      if (sides.size < 2) live.splitAt(live.length / 2)
-      else (sides(0).map(live(_)).toVector, sides(1).map(live(_)).toVector)
+    val (side0, side1) = BalancedKMeans.bisect(live.map(_.vec), seed = rnd.nextLong())
+    val part0 = side0.map(live)
+    val part1 = side1.map(live)
     val c0 = VectorMath.mean(part0.map(_.vec))
     val c1 = VectorMath.mean(part1.map(_.vec))
 

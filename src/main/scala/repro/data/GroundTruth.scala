@@ -5,6 +5,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.core.VectorMath
+import repro.core.distributed.DistIndex.sqDistUdf
 
 /** Exact K-nearest-neighbor ground truth, used to score RecallK@K (§2.1).
   *
@@ -36,12 +37,6 @@ object GroundTruth {
     * crossJoin → distance → window row_number.
     */
   def topKDf(spark: SparkSession, queries: DataFrame, data: DataFrame, k: Int): DataFrame = {
-    // Double arithmetic so results are bit-identical to the SQL oracle.
-    val sqDistUdf = udf((a: Seq[Float], b: Seq[Float]) => {
-      var s = 0.0; var i = 0
-      while (i < a.length) { val d = a(i).toDouble - b(i).toDouble; s += d * d; i += 1 }
-      s
-    })
     val w = Window.partitionBy("qid").orderBy(col("d").asc, col("id").asc)
     queries
       .crossJoin(data)

@@ -71,13 +71,6 @@ final class BlockController(val dim: Int, val blockSizeBytes: Int = 4096) {
     blocks.flatMap(b => synchronized(device.getOrElse(b, Vector.empty)))
   }
 
-  /** ParallelGET (§4.3): one batched fetch of several postings. Counts the
-    * same block reads; the batching is what the latency model's beam
-    * parallelism term represents.
-    */
-  def parallelGet(pids: Seq[Long]): Map[Long, Vector[VectorRecord]] =
-    pids.map(p => p -> get(p)).toMap
-
   /** APPEND (§4.3): add one record at the posting's tail, touching only the
     * last block — read it if partially full, write the merged content to a
     * freshly allocated block, release the old one.

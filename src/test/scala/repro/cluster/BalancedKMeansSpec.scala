@@ -39,22 +39,30 @@ class BalancedKMeansSpec extends SparkSpec {
     assert(sidesA.size == 1 && sidesB.size == 1 && sidesA != sidesB)
   }
 
-  test("split2 of a uniform blob is near-even (balance constraint)") {
+  test("bisect of a uniform blob is near-even (balance constraint)") {
     val rnd = new Random(4)
     val pts = blob(200, Array(0f, 0f, 0f, 0f), 10.0, rnd)
-    val r = BalancedKMeans.split2(pts)
-    val sizes = r.clusterSizes
+    val (a, b) = BalancedKMeans.bisect(pts, seed = 0)
+    val sizes = Seq(a.length, b.length)
     assert(sizes.min.toDouble / sizes.max >= 0.5, s"unbalanced split: $sizes")
   }
 
-  test("split2 of a skewed blob pair still bounds the imbalance") {
+  test("bisect of a skewed blob pair still bounds the imbalance") {
     val rnd = new Random(5)
     // 170 points in one blob, 30 in another: the balance penalty must stop
     // the big blob from swallowing everything into one side.
     val pts = blob(170, Array(0f, 0f), 3.0, rnd) ++ blob(30, Array(30f, 0f), 3.0, rnd)
-    val r = BalancedKMeans.split2(pts)
-    val sizes = r.clusterSizes
+    val (a, b) = BalancedKMeans.bisect(pts, seed = 0)
+    val sizes = Seq(a.length, b.length)
     assert(sizes.min >= 30, s"split too skewed: $sizes")
+  }
+
+  test("bisect halves partition the input, each in ascending order") {
+    val pts = blob(101, Array(0f, 0f), 5.0, new Random(10))
+    val (a, b) = BalancedKMeans.bisect(pts, seed = 3)
+    assert(a.nonEmpty && b.nonEmpty)
+    assert(a == a.sorted && b == b.sorted)
+    assert((a ++ b).sorted == pts.indices)
   }
 
   test("lambdaScale=0 with no capacity reduces to plain k-means (can be unbalanced)") {
@@ -104,8 +112,21 @@ class BalancedKMeansSpec extends SparkSpec {
 
   test("all-duplicate points terminate and stay assigned") {
     val pts = IndexedSeq.fill(40)(Array(1f, 1f))
-    val r = BalancedKMeans.split2(pts)
-    assert(r.clusterSizes.sum == 40)
+    val (a, b) = BalancedKMeans.bisect(pts, seed = 0)
+    assert(a.length + b.length == 40)
+  }
+
+  test("bisect cuts at n/2 when the 2-means leaves one side empty") {
+    // On duplicates every cost ties and the first cluster takes points up
+    // to its capacity ceil(1.5·n/2); for n <= 3 that is all of them, so
+    // the forced cut is the only way to two non-empty halves.
+    for (n <- 2 to 3; seed <- 0L to 2L) {
+      val pts = IndexedSeq.fill(n)(Array(1f, 1f))
+      assert(BalancedKMeans.cluster(pts, 2, seed = seed).clusterSizes.contains(0))
+      val (a, b) = BalancedKMeans.bisect(pts, seed)
+      assert((a, b) == pts.indices.splitAt(n / 2))
+      assert(a.nonEmpty && b.nonEmpty)
+    }
   }
 
   test("empty input is rejected") {

@@ -79,10 +79,14 @@ class HierarchicalBuildSpec extends SparkSpec {
   }
 
   test("duplicate-heavy input terminates (forced cut path)") {
+    // targetSize 1 bisects the 100 duplicates down to runs of 2 and 3,
+    // where the balanced 2-means leaves one side empty and only the
+    // forced cut makes progress.
     val pts = IndexedSeq.fill(100)(Array(3f, 3f)) ++ sample(20, 2, 8).map(_.take(2))
-    val layout = HierarchicalBuild.build(pts, targetSize = 16)
+    val layout = HierarchicalBuild.build(pts, targetSize = 1)
     val counts = layout.memberships.map(_.head).groupBy(identity).view.mapValues(_.size)
     assert(counts.values.sum == 120)
+    assert(layout.centroids.length == 120)
   }
 
   test("build is deterministic in the seed") {

@@ -2,7 +2,7 @@ package repro.core.distributed
 
 import java.nio.file.Files
 
-import repro.SparkSpec
+import repro.{LireInvariants, SparkSpec}
 import repro.core.{LireConfig, VectorMath}
 import repro.data.{GroundTruth, VectorGen}
 
@@ -68,16 +68,17 @@ class DistRebalancerSpec extends SparkSpec {
     val live = idx.liveUdf
     import org.apache.spark.sql.functions.col
     val rows = idx.postings.filter(live(col("vid"), col("version")))
-      .select("vid", "pid", "vec").collect()
-    val homes = rows.groupBy(_.getLong(0)).view.mapValues(_.map(_.getLong(1)).toSet).toMap
-    val vecs = rows.map(r => r.getLong(0) -> r.getSeq[Float](2).toArray).toMap
-    val violations = vecs.count { case (vid, v) =>
-      !homes(vid).contains(idx.nearestPids(v, 1).head)
-    }
+      .select("pid", "vid", "vec").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Float](2).toArray)).toSeq
+    val inv = LireInvariants.check(rows, v => idx.nearestPids(v, 1).head, cfg.splitLimit,
+      idx.versions.liveIds)
+    assert(inv.oversized.isEmpty, s"oversized postings after rebalance: ${inv.oversized}")
+    assert(inv.missing.isEmpty, s"live vectors without a live replica: ${inv.missing}")
     // Batch semantics check a bounded reassign range per round (the paper's
     // own trade-off, §3.3/Fig 11), so a small residual violation rate is
     // expected — it must just stay marginal.
-    assert(violations <= vecs.size / 20, s"NPA violations: $violations/${vecs.size}")
+    val violations = inv.npaViolations.size
+    assert(violations <= inv.vectors / 20, s"NPA violations: $violations/${inv.vectors}")
   }
 
   test("reassignment moves bump versions (stale replicas left behind)") {

@@ -3,7 +3,7 @@ package repro.core.engine
 import scala.collection.mutable
 import scala.util.Random
 
-import repro.SparkSpec
+import repro.{LireInvariants, SparkSpec}
 import repro.centroid.CentroidIndex
 import repro.core.{LireConfig, VectorMath}
 import repro.data.{GroundTruth, VectorGen}
@@ -90,25 +90,18 @@ class SpFreshEngineSpec extends SparkSpec {
     val (e, _) = fresh(300)
     VectorGen.draw(mix(), 300, 30000, seed = 19).foreach(v => e.insert(v.id, v.vec))
     e.drainJobs()
-    // Collect vector -> postings map from storage.
-    val homes = scala.collection.mutable.Map.empty[Long, Set[Long]].withDefaultValue(Set.empty)
-    val vecs = scala.collection.mutable.Map.empty[Long, Array[Float]]
-    e.store.postingIds.foreach { pid =>
-      e.store.get(pid).foreach { r =>
-        if (!e.versions.isStale(r.vid, r.version)) {
-          homes(r.vid) = homes(r.vid) + pid
-          vecs(r.vid) = r.vec
-        }
-      }
+    val rows = e.store.postingIds.toSeq.flatMap { pid =>
+      e.store.get(pid).filter(r => !e.versions.isStale(r.vid, r.version)).map(r => (pid, r.vid, r.vec))
     }
+    val inv = LireInvariants.check(rows, v => e.centroids.nearest(v, 1).head._1, cfg.splitLimit,
+      e.versions.liveIds)
+    assert(inv.oversized.isEmpty, s"oversized postings after drain: ${inv.oversized}")
+    assert(inv.missing.isEmpty, s"live vectors without a live replica: ${inv.missing}")
     // For NPA quality we tolerate a small violation rate from deferred jobs,
     // but after a full drain it should be essentially zero.
-    val violations = vecs.count { case (vid, v) =>
-      val nearest = e.centroids.nearest(v, 1).head._1
-      !homes(vid).contains(nearest)
-    }
-    assert(violations <= vecs.size / 100,
-      s"NPA violations after drain: $violations / ${vecs.size}")
+    val violations = inv.npaViolations.size
+    assert(violations <= inv.vectors / 100,
+      s"NPA violations after drain: $violations / ${inv.vectors}")
   }
 
   test("merge absorbs a posting drained by deletions") {

@@ -90,16 +90,6 @@ class BlockControllerSpec extends SparkSpec {
     assert(bc.io.blockReads == r0 + 2)
   }
 
-  test("parallelGet fetches all requested postings") {
-    val bc = new BlockController(dim)
-    bc.put(1L, Seq(rec(1)))
-    bc.put(2L, Seq(rec(2)))
-    val got = bc.parallelGet(Seq(1L, 2L, 3L))
-    assert(got(1L).map(_.vid) == Seq(1L))
-    assert(got(2L).map(_.vid) == Seq(2L))
-    assert(got(3L).isEmpty)
-  }
-
   test("delete releases blocks back to the free pool") {
     val bc = new BlockController(dim)
     bc.put(1L, (1L to (bc.vectorsPerBlock + 1).toLong).map(rec(_)))
