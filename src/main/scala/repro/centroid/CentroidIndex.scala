@@ -2,7 +2,7 @@ package repro.centroid
 
 import scala.collection.mutable
 
-import repro.core.VectorMath
+import repro.core.{Lire, VectorMath}
 
 /** In-memory index over posting centroids — SPANN keeps an SPTAG graph in
   * DRAM for "quick identification of candidate postings" (§3.1); SPFresh
@@ -38,6 +38,18 @@ trait CentroidIndex {
     * navigation cost component of the latency model.
     */
   def distanceComputations: Long
+
+  /** Final NPA check of a reassign candidate (§3.3 false-positive
+    * elimination), the one verdict of both engines: the posting `v` should
+    * move to from its home `fromPid`, if any. One [[nearest]] call; the move
+    * needs a nearest posting other than `fromPid` that is strictly closer
+    * ([[Lire.reassignImproves]]). A home with no centroid (a split or merge
+    * removed it) loses to any other posting.
+    */
+  def reassignTarget(v: Array[Float], fromPid: Long): Option[Long] =
+    nearest(v, 1).headOption.map(_._1).filter { best =>
+      best != fromPid && get(fromPid).forall(Lire.reassignImproves(v, _, get(best).get))
+    }
 }
 
 /** Exact centroid search. At reproduction scale (≲2k centroids) a linear

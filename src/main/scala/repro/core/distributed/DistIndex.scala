@@ -109,12 +109,15 @@ final class DistIndex private[distributed] (
     }
   }
 
-  /** Live record count per posting (stale replicas and tombstones out). */
-  def liveSizes(): Map[Long, Long] =
-    postings
-      .filter(liveUdf(col("vid"), col("version")))
-      .groupBy("pid").count()
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+  /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
+    * scan of the lake: the raw count is the split trigger, the live count
+    * (stale replicas and tombstones out) the merge trigger.
+    */
+  def rawSizesAndLive(): Map[Long, (Long, Long)] = {
+    val live = liveUdf(col("vid"), col("version"))
+    postings.groupBy("pid").agg(count(lit(1)), sum(live.cast("long")))
+      .collect().map(r => r.getLong(0) -> ((r.getLong(1), r.getLong(2)))).toMap
+  }
 
   /** Raw on-lake record count per posting (split trigger, like the block
     * mapping's length field).

@@ -1,7 +1,6 @@
 package repro.core.distributed
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.cluster.BalancedKMeans
@@ -27,13 +26,17 @@ final case class SplitOut(
   * [[repro.core.engine.EngineStats]].
   */
 final case class RebalanceStats(
-    rounds: Int,
-    splits: Long,
-    gcOnlySplits: Long,
-    merges: Long,
-    reassignChecked: Long,
-    reassignMoved: Long,
-)
+    rounds: Int = 0,
+    splits: Long = 0,
+    gcOnlySplits: Long = 0,
+    merges: Long = 0,
+    reassignChecked: Long = 0,
+    reassignMoved: Long = 0,
+) {
+  def +(o: RebalanceStats): RebalanceStats = RebalanceStats(rounds + o.rounds, splits + o.splits,
+    gcOnlySplits + o.gcOnlySplits, merges + o.merges, reassignChecked + o.reassignChecked,
+    reassignMoved + o.reassignMoved)
+}
 
 /** The Local Rebuilder (§4.2) as Spark jobs over the Parquet posting lake.
   *
@@ -51,39 +54,41 @@ final class DistRebalancer(idx: DistIndex) {
   import idx.spark
   private val cfg = idx.cfg
 
-  /** Rebalance to a stable state (or `maxRounds`). */
+  /** Rebalance to a stable state (or `maxRounds`). The lake's posting
+    * sizes are scanned once per lake version: at the start and after each
+    * commit. Only a commit changes them here, since every version bump of
+    * a reassign is committed with it.
+    */
   def run(maxRounds: Int = 50): RebalanceStats = {
-    var rounds = 0
-    var splits = 0L; var gcOnly = 0L; var merges = 0L
-    var checked = 0L; var moved = 0L
-    var progress = true
-    while (progress && rounds < maxRounds) {
-      val s = splitRound()
-      val m = mergeRound()
-      splits += s._1; gcOnly += s._2; checked += s._3; moved += s._4
-      merges += m._1; checked += m._2; moved += m._3
-      progress = (s._1 + s._2 + m._1) > 0
-      rounds += 1
+    var stats = RebalanceStats()
+    var sizes = idx.rawSizesAndLive()
+    var scanned = idx.commits
+    def current(): Map[Long, (Long, Long)] = {
+      if (idx.commits != scanned) { sizes = idx.rawSizesAndLive(); scanned = idx.commits }
+      sizes
     }
-    RebalanceStats(rounds, splits, gcOnly, merges, checked, moved)
+    var progress = true
+    while (progress && stats.rounds < maxRounds) {
+      val split = splitRound(current())
+      val merge = mergeRound(current())
+      stats = stats + split + merge + RebalanceStats(rounds = 1)
+      progress = (split.splits + split.gcOnlySplits + merge.merges) > 0
+    }
+    stats
   }
 
-  /** One split round over every currently oversized posting.
-    *
-    * @return (splitsExecuted, gcOnlySplits, candidatesChecked, vectorsMoved)
-    */
-  private def splitRound(): (Long, Long, Long, Long) = {
+  /** One split round over every posting whose raw size is over the limit. */
+  private def splitRound(sizes: Map[Long, (Long, Long)]): RebalanceStats = {
     import spark.implicits._
-    val oversized = idx.rawSizes().filter { case (_, n) => Lire.needsSplit(n.toInt, cfg) }.keySet
-    if (oversized.isEmpty) return (0, 0, 0, 0)
+    val oversized = sizes.collect { case (pid, (raw, _)) if Lire.needsSplit(raw.toInt, cfg) => pid }.toSeq
+    if (oversized.isEmpty) return RebalanceStats()
 
     val live = idx.liveUdf
     val lire = cfg // a local, so the executor closure does not capture this rebalancer
-    val oversizedSeq = oversized.toSeq
 
     // GC + balanced 2-means per oversized posting, inside executors.
     val splitOut: Dataset[SplitOut] = idx.postings
-      .filter(col("pid").isin(oversizedSeq: _*))
+      .filter(col("pid").isin(oversized: _*))
       .filter(live(col("vid"), col("version")))
       .as[PostingRow]
       .groupByKey(_.pid)
@@ -151,7 +156,7 @@ final class DistRebalancer(idx: DistIndex) {
       .withColumn("pid", relabelUdf(col("oldPid"), col("side")))
       .select(col("vid"), col("pid"), col("version"), col("vec"))
 
-    val kept = idx.postings.filter(!col("pid").isin(oversizedSeq: _*))
+    val kept = idx.postings.filter(!col("pid").isin(oversized: _*))
       .select(col("vid"), col("pid"), col("version"), col("vec"))
     val afterSplit = kept.unionByName(relabeled)
 
@@ -197,22 +202,20 @@ final class DistRebalancer(idx: DistIndex) {
       }
     val candidates = if (neighborToSplits.isEmpty) cand1 else cand1.unionByName(cand2)
 
-    val (checked, movedCount, withMoves) = applyReassigns(candidates, afterSplit)
+    val (reassigned, withMoves) = applyReassigns(candidates, afterSplit)
     idx.commit(withMoves)
     splitOut.unpersist()
-    (splitPids.size.toLong, gcOnlyCount.toLong, checked, movedCount)
+    RebalanceStats(splits = splitPids.size, gcOnlySplits = gcOnlyCount) + reassigned
   }
 
-  /** One merge round over every undersized posting (§3.2 Merge).
-    *
-    * @return (merges, candidatesChecked, vectorsMoved)
+  /** One merge round over every posting whose live size is under the
+    * threshold (§3.2 Merge).
     */
-  private def mergeRound(): (Long, Long, Long) = {
-    val liveSz = idx.liveSizes()
+  private def mergeRound(sizes: Map[Long, (Long, Long)]): RebalanceStats = {
     // A posting can be all-stale (size 0 after reassigns): still merge it away.
     val undersized = idx.centroids.all.map(_._1)
-      .filter(p => Lire.needsMerge(liveSz.getOrElse(p, 0L).toInt, cfg)).toSeq.sorted
-    if (undersized.isEmpty || idx.centroids.size < 2) return (0, 0, 0)
+      .filter(p => Lire.needsMerge(sizes.get(p).fold(0L)(_._2).toInt, cfg)).toSeq.sorted
+    if (undersized.isEmpty || idx.centroids.size < 2) return RebalanceStats()
 
     // Plan merges on the driver: each undersized posting leaves the centroid
     // index and folds into its nearest remaining posting; postings already
@@ -228,7 +231,7 @@ final class DistRebalancer(idx: DistIndex) {
         targets += target
       }
     }
-    if (plan.isEmpty) return (0, 0, 0)
+    if (plan.isEmpty) return RebalanceStats()
 
     val live = idx.liveUdf
     val bcPlan = spark.sparkContext.broadcast(plan.toMap)
@@ -248,64 +251,48 @@ final class DistRebalancer(idx: DistIndex) {
 
     // §3.3: vectors from the deleted posting all need a reassign check.
     val candidates = movedIn.select(col("vid"), col("pid").as("fromPid"), col("version"), col("vec"))
-    val (checked, movedCount, withMoves) = applyReassigns(candidates, afterMerge)
+    val (reassigned, withMoves) = applyReassigns(candidates, afterMerge)
     idx.commit(withMoves)
     movedIn.unpersist()
-    (plan.size.toLong, checked, movedCount)
+    RebalanceStats(merges = plan.size) + reassigned
   }
 
-  /** Final NPA check + execution for reassign candidates (§3.3): search each
-    * candidate's nearest posting against the *updated* centroid set, drop
-    * false positives (no strict improvement), CAS-bump versions on the
-    * driver, and append fresh-version rows. Old replicas everywhere become
-    * stale via the version map — no in-place deletes, exactly the paper's
-    * replica story.
+  /** Final NPA check + execution for reassign candidates (§3.3), on the
+    * driver like the paper's Local Rebuilder: one Spark action collects the
+    * candidate rows, each distinct vid gets the engine's verdict
+    * ([[repro.centroid.CentroidIndex.reassignTarget]]) against the *updated*
+    * centroid set, and a move CAS-bumps the vid's version (§4.2.2; losers
+    * abort silently) and appends fresh-version rows through the closure rule
+    * (boundary replicas preserved). Old replicas everywhere become stale via
+    * the version map — no in-place deletes, exactly the paper's replica
+    * story.
     *
-    * @return (candidatesChecked, moved, newPostingsDf)
+    * @param candidates rows (vid, fromPid, version, vec)
+    * @return the checked and moved counts, and `base` with the moves appended
     */
-  private def applyReassigns(
-      candidates: DataFrame,
-      base: DataFrame,
-  ): (Long, Long, DataFrame) = {
-    val bcC = spark.sparkContext.broadcast(idx.centroids.arrays)
-    val bcHome = spark.sparkContext.broadcast(idx.centroids.all.toMap)
-    // A vid may be a candidate from several postings (replicas): keep the
-    // one closest to its current home — the primary — for the NPA check.
-    val homeDistUdf = udf { (fromPid: Long, vec: Seq[Float]) =>
-      bcHome.value.get(fromPid).map(VectorMath.sqDist(vec.toArray, _)).getOrElse(Double.MaxValue)
-    }
-    val bestUdf = udf { (vec: Seq[Float]) =>
-      val (pids, vecs) = bcC.value
-      VectorMath.nearestK(vec.toArray, pids, vecs, pids.length, 1).ids.headOption.getOrElse(-1L)
-    }
-    val w = Window.partitionBy("vid").orderBy(col("homeD").asc, col("fromPid").asc)
-    val scored = candidates
-      .withColumn("homeD", homeDistUdf(col("fromPid"), col("vec")))
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .withColumn("bestPid", bestUdf(col("vec")))
-    val checked = scored.count()
-    val moves = scored
-      .filter(col("bestPid") =!= col("fromPid"))
-      .withColumn("bestD", homeDistUdf(col("bestPid"), col("vec")))
-      .filter(col("bestD") < col("homeD")) // strict improvement (§3.3)
-      .select(col("vid"), col("bestPid"), col("version"), col("vec"))
-      .collect()
-
-    // Driver-side CAS version bumps (§4.2.2); losers abort silently. The
-    // move writes through the closure rule (boundary replicas preserved).
-    val movedRows = moves.flatMap { r =>
-      val vid = r.getLong(0)
-      idx.versions.tryBumpVersion(vid, r.getInt(2)).toSeq.flatMap { newVer =>
+  private def applyReassigns(candidates: DataFrame, base: DataFrame): (RebalanceStats, DataFrame) = {
+    import Ordering.Double.TotalOrdering
+    val rows = candidates.select(col("vid"), col("fromPid"), col("version"), col("vec")).collect()
+      .map { r =>
         val v = r.getSeq[Float](3).toArray
-        Lire.closure(idx.centroids.nearest(v, cfg.maxReplicas), cfg.replicaEpsilon)
-          .map(pid => PostingRow(vid, pid, newVer, v))
+        val homeD = idx.centroids.get(r.getLong(1)).fold(Double.MaxValue)(VectorMath.sqDist(v, _))
+        (r.getLong(0), r.getLong(1), r.getInt(2), v, homeD)
       }
-    }.toSeq
+    // A vid may be a candidate from several postings (replicas): check the
+    // one closest to its current home — the primary — ties to the lower pid.
+    val primaries = rows.groupBy(_._1).values.map(_.minBy(c => (c._5, c._2)))
+    val movedRows = primaries.toSeq.flatMap { case (vid, fromPid, version, v, _) =>
+      idx.centroids.reassignTarget(v, fromPid)
+        .flatMap(_ => idx.versions.tryBumpVersion(vid, version)).toSeq
+        .flatMap { newVer =>
+          Lire.closure(idx.centroids.nearest(v, cfg.maxReplicas), cfg.replicaEpsilon)
+            .map(pid => PostingRow(vid, pid, newVer, v))
+        }
+    }
     import spark.implicits._
     val out =
       if (movedRows.isEmpty) base
       else base.unionByName(movedRows.toDF().select(col("vid"), col("pid"), col("version"), col("vec")))
-    (checked, movedRows.map(_.vid).distinct.size.toLong, out)
+    (RebalanceStats(reassignChecked = primaries.size, reassignMoved = movedRows.map(_.vid).distinct.size), out)
   }
 }

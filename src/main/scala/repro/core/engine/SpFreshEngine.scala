@@ -330,16 +330,9 @@ final class SpFreshEngine(
       stats.reassignAborted += 1
       return
     }
-    val best = centroids.nearest(vec, 1)
-    if (best.isEmpty) { stats.reassignAborted += 1; return }
-    val (bestPid, _) = best.head
     // Final NPA check (§3.3 false-positive elimination): move only if the
     // nearest posting is a strict improvement over the current home.
-    val improves = centroids.get(fromPid) match {
-      case Some(curC) => bestPid != fromPid && Lire.reassignImproves(vec, curC, centroids.get(bestPid).get)
-      case None       => bestPid != fromPid // home vanished (split/merge raced): take the move
-    }
-    if (!improves) { stats.reassignAborted += 1; return }
+    if (centroids.reassignTarget(vec, fromPid).isEmpty) { stats.reassignAborted += 1; return }
     versions.tryBumpVersion(vid, expectedVersion) match {
       case None => stats.reassignAborted += 1 // CAS lost (§4.2.2)
       case Some(newVer) =>

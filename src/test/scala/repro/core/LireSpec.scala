@@ -3,6 +3,7 @@ package repro.core
 import scala.util.Random
 
 import repro.SparkSpec
+import repro.centroid.BruteForceCentroidIndex
 import repro.core.VectorMath.sqDist
 
 /** Tests of LIRE's two necessary conditions (§3.3) including the paper's
@@ -110,6 +111,34 @@ class LireSpec extends SparkSpec {
     assert(Lire.reassignImproves(v, Array(5f), Array(1f)))
     assert(!Lire.reassignImproves(v, Array(1f), Array(1f)))
     assert(!Lire.reassignImproves(v, Array(1f), Array(5f)))
+  }
+
+  private def index(cs: (Long, Float)*): BruteForceCentroidIndex = {
+    val idx = new BruteForceCentroidIndex
+    cs.foreach { case (pid, x) => idx.insert(pid, Array(x)) }
+    idx
+  }
+
+  test("reassign verdict: a strictly closer posting takes the vector") {
+    val idx = index(0L -> 5f, 1L -> 1f)
+    assert(idx.reassignTarget(Array(0f), fromPid = 0) == Some(1L))
+    assert(idx.reassignTarget(Array(0f), fromPid = 1).isEmpty) // already home
+  }
+
+  test("reassign verdict: an equally close posting leaves the vector home") {
+    // nearest breaks the tie toward pid 0; pid 0 is no closer than home 1.
+    val idx = index(0L -> -1f, 1L -> 1f)
+    assert(idx.nearest(Array(0f), 1).head._1 == 0L)
+    assert(idx.reassignTarget(Array(0f), fromPid = 1).isEmpty)
+  }
+
+  test("reassign verdict: a home without a centroid loses to any other posting") {
+    // A split or merge removed pid 7: the far posting 1 still takes the vector.
+    assert(index(1L -> 100f).reassignTarget(Array(0f), fromPid = 7) == Some(1L))
+  }
+
+  test("reassign verdict: an empty index moves nothing") {
+    assert(index().reassignTarget(Array(0f), fromPid = 0).isEmpty)
   }
 
   test("LireConfig rejects nonsensical parameters") {

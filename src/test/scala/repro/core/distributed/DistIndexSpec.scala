@@ -31,7 +31,7 @@ class DistIndexSpec extends SparkSpec {
 
   test("build postings respect the split limit (live sizes)") {
     val (idx, _) = fresh(300)
-    assert(idx.liveSizes().values.forall(_ <= cfg.splitLimit))
+    assert(idx.rawSizesAndLive().values.forall(_._2 <= cfg.splitLimit))
   }
 
   test("every vector's primary (nearest) centroid hosts one of its replicas") {

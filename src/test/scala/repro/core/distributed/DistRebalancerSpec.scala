@@ -23,6 +23,25 @@ class DistRebalancerSpec extends SparkSpec {
     (idx, base)
   }
 
+  /** LIRE's invariants over the lake's live rows: no oversized posting, no
+    * missing vector, and NPA violations within the lake's 5% tolerance.
+    * Batch semantics check a bounded reassign range per round (the paper's
+    * own trade-off, §3.3/Fig 11), so a small residual violation rate is
+    * expected — it must just stay marginal.
+    */
+  private def assertInvariants(idx: DistIndex): Unit = {
+    import org.apache.spark.sql.functions.col
+    val rows = idx.postings.filter(idx.liveUdf(col("vid"), col("version")))
+      .select("pid", "vid", "vec").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Float](2).toArray)).toSeq
+    val inv = LireInvariants.check(rows, v => idx.nearestPids(v, 1).head, cfg.splitLimit,
+      idx.versions.liveIds)
+    assert(inv.oversized.isEmpty, s"oversized postings after rebalance: ${inv.oversized}")
+    assert(inv.missing.isEmpty, s"live vectors without a live replica: ${inv.missing}")
+    val violations = inv.npaViolations.size
+    assert(violations <= inv.vectors / 20, s"NPA violations: $violations/${inv.vectors}")
+  }
+
   test("a balanced index needs no rebalancing (no-op run)") {
     val (idx, _) = fresh(200)
     val stats = new DistRebalancer(idx).run()
@@ -65,20 +84,7 @@ class DistRebalancerSpec extends SparkSpec {
     val (idx, _) = fresh(200, seed = 7)
     idx.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(7), 400, 10000, seed = 11)))
     new DistRebalancer(idx).run()
-    val live = idx.liveUdf
-    import org.apache.spark.sql.functions.col
-    val rows = idx.postings.filter(live(col("vid"), col("version")))
-      .select("pid", "vid", "vec").collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Float](2).toArray)).toSeq
-    val inv = LireInvariants.check(rows, v => idx.nearestPids(v, 1).head, cfg.splitLimit,
-      idx.versions.liveIds)
-    assert(inv.oversized.isEmpty, s"oversized postings after rebalance: ${inv.oversized}")
-    assert(inv.missing.isEmpty, s"live vectors without a live replica: ${inv.missing}")
-    // Batch semantics check a bounded reassign range per round (the paper's
-    // own trade-off, §3.3/Fig 11), so a small residual violation rate is
-    // expected — it must just stay marginal.
-    val violations = inv.npaViolations.size
-    assert(violations <= inv.vectors / 20, s"NPA violations: $violations/${inv.vectors}")
+    assertInvariants(idx)
   }
 
   test("reassignment moves bump versions (stale replicas left behind)") {
@@ -105,6 +111,25 @@ class DistRebalancerSpec extends SparkSpec {
     assert(idx.centroidSnapshot.length < before)
   }
 
+  test("rebalance counts are pinned: insert storm and mass deletion") {
+    // Exact counts of two seeded scenarios: any change to what the lake's
+    // LIRE does (not only how fast) shows here.
+    val (storm, _) = fresh(200)
+    storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
+    assert(new DistRebalancer(storm).run() == RebalanceStats(rounds = 4, splits = 15,
+      gcOnlySplits = 3, merges = 0, reassignChecked = 376, reassignMoved = 78))
+    assert(storm.commits == 5)
+    assert(storm.centroidSnapshot.length == 31)
+
+    val (drained, base) = fresh(300, seed = 11)
+    val c = mix(11).centers.head
+    drained.deleteBatch(base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id))
+    assert(new DistRebalancer(drained).run() == RebalanceStats(rounds = 5, splits = 0,
+      gcOnlySplits = 0, merges = 14, reassignChecked = 3, reassignMoved = 2))
+    assert(drained.commits == 5)
+    assert(drained.centroidSnapshot.length == 8)
+  }
+
   test("search recall stays high across update + rebalance epochs") {
     val (idx, base) = fresh(300, seed = 13)
     var live = base.map(v => (v.id, v.vec)).toMap
@@ -118,6 +143,7 @@ class DistRebalancerSpec extends SparkSpec {
       ins.foreach(v => live += (v.id -> v.vec))
       nextId += ins.length
       new DistRebalancer(idx).run()
+      assertInvariants(idx)
     }
     import spark.implicits._
     val qs = VectorGen.queries(pool, 15, seed = 23)

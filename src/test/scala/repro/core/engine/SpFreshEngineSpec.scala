@@ -25,6 +25,23 @@ class SpFreshEngineSpec extends SparkSpec {
     (e, base)
   }
 
+  /** LIRE's invariants over the engine's live records: no oversized posting,
+    * no missing vector, and NPA violations within the engine's 1% tolerance
+    * (after a full drain it should be essentially zero).
+    */
+  private def assertInvariants(e: SpFreshEngine): Unit = {
+    val rows = e.store.postingIds.toSeq.flatMap { pid =>
+      e.store.get(pid).filter(r => !e.versions.isStale(r.vid, r.version)).map(r => (pid, r.vid, r.vec))
+    }
+    val inv = LireInvariants.check(rows, v => e.centroids.nearest(v, 1).head._1, cfg.splitLimit,
+      e.versions.liveIds)
+    assert(inv.oversized.isEmpty, s"oversized postings after drain: ${inv.oversized}")
+    assert(inv.missing.isEmpty, s"live vectors without a live replica: ${inv.missing}")
+    val violations = inv.npaViolations.size
+    assert(violations <= inv.vectors / 100,
+      s"NPA violations after drain: $violations / ${inv.vectors}")
+  }
+
   test("buildInitial produces postings within the split limit") {
     val (e, _) = fresh(400)
     assert(e.livePostingSizes().values.forall(_ <= cfg.splitLimit))
@@ -90,18 +107,7 @@ class SpFreshEngineSpec extends SparkSpec {
     val (e, _) = fresh(300)
     VectorGen.draw(mix(), 300, 30000, seed = 19).foreach(v => e.insert(v.id, v.vec))
     e.drainJobs()
-    val rows = e.store.postingIds.toSeq.flatMap { pid =>
-      e.store.get(pid).filter(r => !e.versions.isStale(r.vid, r.version)).map(r => (pid, r.vid, r.vec))
-    }
-    val inv = LireInvariants.check(rows, v => e.centroids.nearest(v, 1).head._1, cfg.splitLimit,
-      e.versions.liveIds)
-    assert(inv.oversized.isEmpty, s"oversized postings after drain: ${inv.oversized}")
-    assert(inv.missing.isEmpty, s"live vectors without a live replica: ${inv.missing}")
-    // For NPA quality we tolerate a small violation rate from deferred jobs,
-    // but after a full drain it should be essentially zero.
-    val violations = inv.npaViolations.size
-    assert(violations <= inv.vectors / 100,
-      s"NPA violations after drain: $violations / ${inv.vectors}")
+    assertInvariants(e)
   }
 
   test("merge absorbs a posting drained by deletions") {
@@ -152,6 +158,7 @@ class SpFreshEngineSpec extends SparkSpec {
       ins.foreach { v => e.insert(v.id, v.vec); live += (v.id -> v.vec) }
       nextId += ins.length
       e.drainJobs()
+      assertInvariants(e)
     }
     val qs = VectorGen.queries(pool, 30, seed = 37)
     val data = live.toSeq
