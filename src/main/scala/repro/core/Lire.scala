@@ -22,6 +22,16 @@ object Lire {
     newCs.forall(c => dOld <= sqDist(v, c))
   }
 
+  /** The reassign candidates of a split posting: Eq. 1, plus a vector the
+    * balanced 2-means left on the half whose new centroid `ownC` is not the
+    * nearer of the two. The balance constraint can put a vector on the far
+    * half while the other half's centroid beats the old one, so Eq. 1 alone
+    * would skip a vector whose nearest posting does not hold it.
+    */
+  def splitCandidate(v: Array[Float], oldC: Array[Float], ownC: Array[Float],
+                     otherC: Array[Float]): Boolean =
+    condition1(v, oldC, Seq(ownC, otherC)) || sqDist(v, ownC) >= sqDist(v, otherC)
+
   /** Equation (2): a vector `v` in a *nearby* posting must be checked iff at
     * least one new centroid moved closer than the deleted old centroid —
     * only then can a new posting possibly beat `v`'s current one.
@@ -54,8 +64,8 @@ object Lire {
   def needsMerge(liveLen: Int, cfg: LireConfig): Boolean = liveLen < cfg.mergeThreshold
 
   /** Final NPA check executed at reassignment time (§3.3, false-positive
-    * elimination): the move proceeds only when the newly found nearest
-    * centroid is strictly closer than the vector's current one.
+    * elimination): a move needs the newly found nearest centroid to be
+    * strictly closer than the vector's current one.
     */
   def reassignImproves(v: Array[Float], currentC: Array[Float], bestC: Array[Float]): Boolean =
     sqDist(v, bestC) < sqDist(v, currentC)

@@ -21,8 +21,16 @@ final class VersionMap {
   private def cell(vid: Long): AtomicInteger =
     states.computeIfAbsent(vid, _ => new AtomicInteger(0))
 
-  /** Register a newly inserted vector at version 0, not deleted. */
-  def register(vid: Long): Unit = states.put(vid, new AtomicInteger(0))
+  /** Register an inserted vector, not deleted, and return the version its
+    * replicas must be written at: 0 for a new id; for a known id (a deleted
+    * or re-inserted one) its old version + 1, so that none of its old
+    * replicas is live again. The version wraps like [[tryBumpVersion]].
+    */
+  def register(vid: Long): Int = {
+    val known = states.putIfAbsent(vid, new AtomicInteger(0))
+    if (known == null) 0
+    else known.updateAndGet(st => (((st >>> 1) + 1) & MaxVersion) << 1) >>> 1
+  }
 
   /** True iff the vector has been tombstoned. */
   def isDeleted(vid: Long): Boolean = {

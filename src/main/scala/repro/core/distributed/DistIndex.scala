@@ -139,14 +139,21 @@ final class DistIndex private[distributed] (
     */
   def insertBatch(vectors: DataFrame): Unit = {
     require(centroids.size > 0, "insertBatch before build")
+    // Register versions on the driver (the in-memory version map). A known
+    // id gets a version past its old one ([[VersionMap.register]]), so its
+    // rows carry that version and its old rows stay stale.
+    val reused = vectors.select("id").collect().flatMap { r =>
+      val vid = r.getLong(0)
+      val version = versions.register(vid)
+      if (version == 0) None else Some(vid -> version)
+    }.toMap
+    val version = if (reused.isEmpty) lit(0) else coalesce(element_at(typedLit(reused), col("id")), lit(0))
     val assigned = vectors.select(
       col("id").as("vid"),
       explode(closureUdf(col("vec"))).as("pid"),
-      lit(0).as("version"),
+      version.as("version"),
       col("vec"),
     )
-    // Register versions on the driver (the in-memory version map).
-    vectors.select("id").collect().foreach(r => versions.register(r.getLong(0)))
     commit(postings.unionByName(assigned))
   }
 

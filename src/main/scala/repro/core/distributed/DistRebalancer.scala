@@ -161,17 +161,20 @@ final class DistRebalancer(idx: DistIndex) {
     val afterSplit = kept.unionByName(relabeled)
 
     // ---- reassign candidates -------------------------------------------
-    // Condition 1 (Eq. 1): vectors of the split postings themselves.
+    // Condition 1 (Eq. 1) and the far-half rule: vectors of the split
+    // postings themselves.
     val bcInfo = spark.sparkContext.broadcast(splitInfo)
-    val cond1Udf = udf { (oldPid: Long, vec: Seq[Float]) =>
+    val cond1Udf = udf { (oldPid: Long, side: Int, vec: Seq[Float]) =>
       bcInfo.value.get(oldPid) match {
         case None => false
-        case Some((oldC, c0, c1)) => Lire.condition1(vec.toArray, oldC, Seq(c0, c1))
+        case Some((oldC, c0, c1)) =>
+          if (side == 0) Lire.splitCandidate(vec.toArray, oldC, c0, c1)
+          else Lire.splitCandidate(vec.toArray, oldC, c1, c0)
       }
     }
     val cand1 = splitOut
       .filter(col("side") >= 0)
-      .filter(cond1Udf(col("oldPid"), col("vec")))
+      .filter(cond1Udf(col("oldPid"), col("side"), col("vec")))
       .withColumn("fromPid", relabelUdf(col("oldPid"), col("side")))
       .select(col("vid"), col("fromPid"), col("version"), col("vec"))
 
@@ -259,13 +262,16 @@ final class DistRebalancer(idx: DistIndex) {
 
   /** Final NPA check + execution for reassign candidates (§3.3), on the
     * driver like the paper's Local Rebuilder: one Spark action collects the
-    * candidate rows, each distinct vid gets the engine's verdict
+    * candidate rows, and each distinct vid gets the engine's verdict
     * ([[repro.centroid.CentroidIndex.reassignTarget]]) against the *updated*
-    * centroid set, and a move CAS-bumps the vid's version (§4.2.2; losers
-    * abort silently) and appends fresh-version rows through the closure rule
-    * (boundary replicas preserved). Old replicas everywhere become stale via
-    * the version map — no in-place deletes, exactly the paper's replica
-    * story.
+    * centroid set. The verdict needs to know whether the vid's nearest
+    * posting already holds a live replica; for the candidates that would
+    * move without one, a second action looks their `(vid, pid)` rows up in
+    * `base`, and none runs when no candidate would move. A move CAS-bumps
+    * the vid's version (§4.2.2; losers abort silently) and appends
+    * fresh-version rows through the closure rule (boundary replicas
+    * preserved). Old replicas everywhere become stale via the version map —
+    * no in-place deletes, exactly the paper's replica story.
     *
     * @param candidates rows (vid, fromPid, version, vec)
     * @return the checked and moved counts, and `base` with the moves appended
@@ -280,9 +286,21 @@ final class DistRebalancer(idx: DistIndex) {
       }
     // A vid may be a candidate from several postings (replicas): check the
     // one closest to its current home — the primary — ties to the lower pid.
-    val primaries = rows.groupBy(_._1).values.map(_.minBy(c => (c._5, c._2)))
-    val movedRows = primaries.toSeq.flatMap { case (vid, fromPid, version, v, _) =>
-      idx.centroids.reassignTarget(v, fromPid)
+    val primaries = rows.groupBy(_._1).values.map(_.minBy(c => (c._5, c._2))).toSeq
+    def verdict(c: (Long, Long, Int, Array[Float], Double), held: Long => Iterator[Int]) =
+      idx.centroids.reassignTarget(c._4, c._1, c._2, idx.versions, held)
+    // The would-be moves, before membership is known: their targets are the
+    // only postings whose rows the verdict needs.
+    val wouldMove = primaries.flatMap(c => verdict(c, _ => Iterator.empty).map(c -> _))
+    val held: Map[(Long, Long), Array[Int]] =
+      if (wouldMove.isEmpty) Map.empty
+      else base
+        .filter(col("pid").isin(wouldMove.map(_._2).distinct: _*) &&
+          col("vid").isin(wouldMove.map(_._1._1): _*))
+        .select(col("vid"), col("pid"), col("version")).collect()
+        .groupMap(r => (r.getLong(0), r.getLong(1)))(_.getInt(2))
+    val movedRows = wouldMove.flatMap { case (c @ (vid, _, version, v, _), _) =>
+      verdict(c, pid => held.get((vid, pid)).fold(Iterator.empty[Int])(_.iterator))
         .flatMap(_ => idx.versions.tryBumpVersion(vid, version)).toSeq
         .flatMap { newVer =>
           Lire.closure(idx.centroids.nearest(v, cfg.maxReplicas), cfg.replicaEpsilon)

@@ -154,9 +154,9 @@ final class SpFreshEngine(
     val (_, io) = store.io.measure {
       val targets = closurePids(vec)
       require(targets.nonEmpty, "insert into an empty index — call buildInitial first")
-      versions.register(vid)
+      val version = versions.register(vid)
       targets.foreach { pid =>
-        store.append(pid, VectorRecord(vid, 0, vec))
+        store.append(pid, VectorRecord(vid, version, vec))
         if (rebalanceEnabled && Lire.needsSplit(store.length(pid), cfg)) enqueueSplit(pid)
       }
     }
@@ -284,10 +284,12 @@ final class SpFreshEngine(
 
     if (reassignEnabled) {
       val newCs = Seq(c0, c1)
-      // Condition 1: vectors of the split posting itself.
-      (part0.map((_, p0)) ++ part1.map((_, p1))).foreach { case (rec, home) =>
-        if (Lire.condition1(rec.vec, oldC, newCs))
-          enqueueReassign(rec.vid, rec.vec, home, versions.currentVersion(rec.vid))
+      // Condition 1 and the far-half rule: vectors of the split posting itself.
+      Seq((part0, p0, c0, c1), (part1, p1, c1, c0)).foreach { case (part, home, ownC, otherC) =>
+        part.foreach { rec =>
+          if (Lire.splitCandidate(rec.vec, oldC, ownC, otherC))
+            enqueueReassign(rec.vid, rec.vec, home, versions.currentVersion(rec.vid))
+        }
       }
       // Condition 2: vectors in the reassign range.
       neighbors.foreach { nb =>
@@ -331,8 +333,13 @@ final class SpFreshEngine(
       return
     }
     // Final NPA check (§3.3 false-positive elimination): move only if the
-    // nearest posting is a strict improvement over the current home.
-    if (centroids.reassignTarget(vec, fromPid).isEmpty) { stats.reassignAborted += 1; return }
+    // nearest posting is a strict improvement over the current home and
+    // does not already hold a live replica (read only for such a posting).
+    val replicaVersions = (pid: Long) => store.get(pid).iterator.filter(_.vid == vid).map(_.version)
+    if (centroids.reassignTarget(vec, vid, fromPid, versions, replicaVersions).isEmpty) {
+      stats.reassignAborted += 1
+      return
+    }
     versions.tryBumpVersion(vid, expectedVersion) match {
       case None => stats.reassignAborted += 1 // CAS lost (§4.2.2)
       case Some(newVer) =>

@@ -119,26 +119,90 @@ class LireSpec extends SparkSpec {
     idx
   }
 
+  /** The verdict for vector 1 at `v`, at version `ver` in the version map,
+    * whose replicas' versions by posting are `held`.
+    */
+  private def verdict(idx: BruteForceCentroidIndex, v: Float, fromPid: Long,
+                      held: Map[Long, Seq[Int]] = Map.empty, ver: Int = 0): Option[Long] = {
+    val versions = new VersionMap
+    versions.register(1L)
+    (0 until ver).foreach(i => versions.tryBumpVersion(1L, i))
+    idx.reassignTarget(Array(v), 1L, fromPid, versions, pid => held.getOrElse(pid, Nil).iterator)
+  }
+
   test("reassign verdict: a strictly closer posting takes the vector") {
     val idx = index(0L -> 5f, 1L -> 1f)
-    assert(idx.reassignTarget(Array(0f), fromPid = 0) == Some(1L))
-    assert(idx.reassignTarget(Array(0f), fromPid = 1).isEmpty) // already home
+    assert(verdict(idx, 0f, fromPid = 0) == Some(1L))
+    assert(verdict(idx, 0f, fromPid = 1).isEmpty) // already home
   }
 
   test("reassign verdict: an equally close posting leaves the vector home") {
     // nearest breaks the tie toward pid 0; pid 0 is no closer than home 1.
     val idx = index(0L -> -1f, 1L -> 1f)
     assert(idx.nearest(Array(0f), 1).head._1 == 0L)
-    assert(idx.reassignTarget(Array(0f), fromPid = 1).isEmpty)
+    assert(verdict(idx, 0f, fromPid = 1).isEmpty)
   }
 
   test("reassign verdict: a home without a centroid loses to any other posting") {
     // A split or merge removed pid 7: the far posting 1 still takes the vector.
-    assert(index(1L -> 100f).reassignTarget(Array(0f), fromPid = 7) == Some(1L))
+    assert(verdict(index(1L -> 100f), 0f, fromPid = 7) == Some(1L))
   }
 
   test("reassign verdict: an empty index moves nothing") {
-    assert(index().reassignTarget(Array(0f), fromPid = 0).isEmpty)
+    assert(verdict(index(), 0f, fromPid = 0).isEmpty)
+  }
+
+  test("reassign verdict: a nearest posting holding a live replica leaves the vector home") {
+    val idx = index(0L -> 5f, 1L -> 1f)
+    assert(verdict(idx, 0f, fromPid = 0, held = Map(0L -> Seq(2), 1L -> Seq(2)), ver = 2).isEmpty)
+    // One live replica among stale ones is enough.
+    assert(verdict(idx, 0f, fromPid = 0, held = Map(1L -> Seq(0, 1, 2)), ver = 2).isEmpty)
+  }
+
+  test("reassign verdict: a nearest posting holding only stale-version replicas takes the vector") {
+    val idx = index(0L -> 5f, 1L -> 1f)
+    assert(verdict(idx, 0f, fromPid = 0, held = Map(0L -> Seq(2), 1L -> Seq(0, 1)), ver = 2) == Some(1L))
+  }
+
+  test("reassign verdict: a nearest posting holding no replica takes the vector") {
+    val idx = index(0L -> 5f, 1L -> 1f, 2L -> 9f)
+    // Live replicas elsewhere (home 0, posting 2) do not count.
+    assert(verdict(idx, 0f, fromPid = 0, held = Map(0L -> Seq(0), 2L -> Seq(0))) == Some(1L))
+  }
+
+  test("reassign verdict: a tombstoned vector's replicas are not live") {
+    val idx = index(0L -> 5f, 1L -> 1f)
+    val versions = new VersionMap
+    versions.register(1L)
+    versions.markDeleted(1L)
+    assert(idx.reassignTarget(Array(0f), 1L, 0L, versions, _ => Iterator(0)) == Some(1L))
+  }
+
+  test("reassign verdict: replicas are looked up only for a closer nearest posting") {
+    val idx = index(0L -> 5f, 1L -> 1f)
+    val asked = scala.collection.mutable.ArrayBuffer.empty[Long]
+    val versions = new VersionMap
+    versions.register(1L)
+    def lookup(pid: Long): Iterator[Int] = { asked += pid; Iterator.empty }
+    assert(idx.reassignTarget(Array(0f), 1L, 1L, versions, lookup).isEmpty) // home is nearest
+    assert(idx.reassignTarget(Array(4.9f), 1L, 0L, versions, lookup).isEmpty) // home is nearest
+    assert(asked.isEmpty)
+    assert(idx.reassignTarget(Array(0f), 1L, 0L, versions, lookup) == Some(1L))
+    assert(asked == Seq(1L))
+  }
+
+  // Figure 4 geometry: A (old) splits into A1 (left) and A2 (right).
+  test("split candidate: a vector left on the far half is checked though Eq. 1 skips it") {
+    val v = Array(1.5f, 0f) // nearer A2 than A, so Eq. 1 skips it
+    assert(!Lire.condition1(v, oldA, Seq(a1, a2)))
+    assert(Lire.splitCandidate(v, oldA, ownC = a1, otherC = a2))
+  }
+
+  test("split candidate: a vector on its near half that Eq. 1 skips is not checked") {
+    val v = Array(1.5f, 0f)
+    assert(!Lire.splitCandidate(v, oldA, ownC = a2, otherC = a1))
+    // Eq. 1 still flags a vector both new centroids moved away from.
+    assert(Lire.splitCandidate(Array(0f, 3f), oldA, ownC = a2, otherC = a1))
   }
 
   test("LireConfig rejects nonsensical parameters") {

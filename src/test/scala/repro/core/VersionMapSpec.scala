@@ -15,6 +15,21 @@ class VersionMapSpec extends SparkSpec {
     assert(m.currentVersion(1L) == 0)
   }
 
+  test("re-registering a known id continues from its old version, live again") {
+    val m = new VersionMap
+    assert(m.register(1L) == 0)
+    assert(m.tryBumpVersion(1L, 0).contains(1))
+    m.markDeleted(1L)
+    assert(m.register(1L) == 2)
+    assert(m.isLive(1L))
+    assert(m.currentVersion(1L) == 2)
+    // Replicas of both older versions stay stale.
+    assert(m.isStale(1L, 0) && m.isStale(1L, 1) && !m.isStale(1L, 2))
+    // A live id re-registered (re-inserted) moves on too.
+    assert(m.register(1L) == 3)
+    assert(m.isStale(1L, 2))
+  }
+
   test("unknown vector is reported deleted and version -1") {
     val m = new VersionMap
     assert(m.isDeleted(42L))

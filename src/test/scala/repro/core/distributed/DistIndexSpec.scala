@@ -67,6 +67,20 @@ class DistIndexSpec extends SparkSpec {
     assert(found.intersect(victims.toSet).isEmpty)
   }
 
+  test("re-inserting a deleted id does not revive its old rows") {
+    import org.apache.spark.sql.functions.col
+    val (idx, base) = fresh(200)
+    val victim = base.head
+    val moved = victim.vec.map(_ + 1f)
+    idx.deleteBatch(Seq(victim.id))
+    idx.insertBatch(VectorGen.toDf(spark, Seq(VectorGen.Vec(victim.id, moved))))
+    val live = idx.postings.filter(idx.liveUdf(col("vid"), col("version")))
+      .filter(col("vid") === victim.id).select("vec").collect().map(_.getSeq[Float](0))
+    assert(live.nonEmpty, "the re-inserted vector must be live")
+    assert(live.forall(_ == moved.toSeq), "an old row of the re-inserted id is live again")
+    assert(idx.versions.currentVersion(victim.id) == 1)
+  }
+
   test("search recall vs exact ground truth is high") {
     val (idx, base) = fresh(400)
     import spark.implicits._

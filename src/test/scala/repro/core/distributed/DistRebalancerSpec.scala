@@ -99,6 +99,46 @@ class DistRebalancerSpec extends SparkSpec {
     }
   }
 
+  /** A hand-made 2-D lake whose one split flags one vector (id 999) for
+    * reassignment, the lake twin of `SpFreshEngineSpec`'s hand-made split.
+    * Posting 0 (centroid at the origin) holds 21 vectors near (-1, 0), 20
+    * near (1, 0) and vector 999 at (0, 0.5): one over the split limit.
+    * Posting 1 (centroid (0, 0.6)) holds five vectors near its centroid, and
+    * a live replica of vector 999 when `inPosting1`. Vector 999 ends
+    * farther from both new centroids than from the old one, so Eq. 1 flags
+    * it, and posting 1 is its nearest posting.
+    */
+  private def handMadeSplit(inPosting1: Boolean): (DistIndex, RebalanceStats) = {
+    import spark.implicits._
+    val handCfg = LireConfig(splitLimit = 41, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
+    val idx = new DistIndex(spark, Files.createTempDirectory("handlake").toString, 2, handCfg)
+    val sides = (0 until 41).map { i =>
+      PostingRow(i.toLong, 0L, 0, Array(if (i < 21) -1f else 1f, (i % 21 - 10) * 0.01f))
+    }
+    val near1 = (0 until 5).map(i => PostingRow(100L + i, 1L, 0, Array((i - 2) * 0.05f, 0.6f)))
+    val probe = Array(0f, 0.5f)
+    val replica = if (inPosting1) Seq(PostingRow(999L, 1L, 0, probe)) else Nil
+    val rows = sides ++ near1 ++ replica :+ PostingRow(999L, 0L, 0, probe)
+    Seq(Array(0f, 0f), Array(0f, 0.6f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
+    rows.map(_.vid).distinct.foreach(idx.versions.register)
+    idx.commit(rows.toDF())
+    (idx, new DistRebalancer(idx).run())
+  }
+
+  test("a would-be move whose target holds a live replica is not made") {
+    val (idx, stats) = handMadeSplit(inPosting1 = true)
+    assert(stats == RebalanceStats(rounds = 2, splits = 1, reassignChecked = 1, reassignMoved = 0))
+    assert(idx.versions.currentVersion(999L) == 0, "a vector NPA already serves was moved")
+  }
+
+  test("a would-be move whose target holds no replica is made") {
+    val (idx, stats) = handMadeSplit(inPosting1 = false)
+    assert(stats == RebalanceStats(rounds = 2, splits = 1, reassignChecked = 1, reassignMoved = 1))
+    assert(idx.versions.currentVersion(999L) == 1)
+    import org.apache.spark.sql.functions.col
+    assert(idx.postings.filter(col("vid") === 999L && col("pid") === 1L && col("version") === 1).count() == 1)
+  }
+
   test("mass deletion triggers merges that remove centroids") {
     val (idx, base) = fresh(300, seed = 11)
     val before = idx.centroidSnapshot.length
@@ -117,7 +157,7 @@ class DistRebalancerSpec extends SparkSpec {
     val (storm, _) = fresh(200)
     storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
     assert(new DistRebalancer(storm).run() == RebalanceStats(rounds = 4, splits = 15,
-      gcOnlySplits = 3, merges = 0, reassignChecked = 376, reassignMoved = 78))
+      gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 

@@ -147,6 +147,68 @@ class SpFreshEngineSpec extends SparkSpec {
     }
   }
 
+  /** A hand-made 2-D engine whose one split flags one vector (id 999) for
+    * reassignment. Posting 0 (centroid at the origin) holds 20 vectors near
+    * (-1, 0), 20 near (1, 0) and vector 999 at (0, 0.5); posting 1
+    * (centroid (0, 0.6)) holds five vectors near its centroid, plus the
+    * replicas of vector 999 at the versions `inPosting1`. Vector 999 is at
+    * version `version`, also its replica in posting 0. An insert at (-1, 0)
+    * overfills posting 0; its split leaves vector 999 farther from both new
+    * centroids than from the old one, so Eq. 1 flags it, and posting 1 is
+    * its nearest posting.
+    */
+  private def handMadeSplit(version: Int, inPosting1: Seq[Int]): SpFreshEngine = {
+    import repro.storage.{BlockController, VectorRecord}
+    val handCfg = LireConfig(splitLimit = 41, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
+    val sides = (0 until 40).map { i =>
+      VectorRecord(i.toLong, 0, Array(if (i < 20) -1f else 1f, (i % 20 - 10) * 0.01f))
+    }
+    val near1 = (0 until 5).map(i => VectorRecord(100L + i, 0, Array((i - 2) * 0.05f, 0.6f)))
+    val probe = Array(0f, 0.5f)
+    val store = new BlockController(2)
+    store.put(0L, sides :+ VectorRecord(999L, version, probe))
+    store.put(1L, near1 ++ inPosting1.map(VectorRecord(999L, _, probe)))
+    val e = new SpFreshEngine(2, handCfg, attachedStore = Some(store))
+    e.restoreCentroids(Map(0L -> Array(0f, 0f), 1L -> Array(0f, 0.6f)), 2L)
+    (sides ++ near1).foreach(r => e.versions.register(r.vid))
+    e.versions.register(999L)
+    (0 until version).foreach(v => e.versions.tryBumpVersion(999L, v))
+    e.insert(500L, Array(-1f, 0f))
+    e.drainJobs()
+    assert(e.stats.splitsExecuted == 1 && e.stats.reassignChecked == 1, e.stats.toString)
+    e
+  }
+
+  test("reassign leaves a vector whose nearest posting holds its live replica") {
+    val e = handMadeSplit(version = 0, inPosting1 = Seq(0))
+    assert(e.versions.currentVersion(999L) == 0, "a vector NPA already serves was moved")
+    assert(e.stats.reassignExecuted == 0 && e.stats.reassignAborted == 1)
+    assertInvariants(e)
+  }
+
+  test("reassign moves a vector whose nearest posting holds no live replica") {
+    Seq(0 -> Seq.empty[Int], 1 -> Seq(0)).foreach { case (version, inPosting1) =>
+      val e = handMadeSplit(version, inPosting1)
+      assert(e.versions.currentVersion(999L) == version + 1, s"not moved with $inPosting1 in posting 1")
+      assert(e.stats.reassignExecuted == 1)
+      assert(e.store.get(1L).exists(r => r.vid == 999L && r.version == version + 1))
+      assertInvariants(e)
+    }
+  }
+
+  test("re-inserting a deleted id does not revive its old replicas") {
+    val (e, base) = fresh(300)
+    val victim = base.head
+    val moved = victim.vec.map(_ + 1f)
+    e.delete(victim.id)
+    e.insert(victim.id, moved)
+    val live = e.store.postingIds.toSeq.flatMap(e.store.get)
+      .filter(r => r.vid == victim.id && !e.versions.isStale(r.vid, r.version))
+    assert(live.nonEmpty, "the re-inserted vector must be live")
+    assert(live.forall(_.vec.sameElements(moved)), "an old replica of the re-inserted id is live again")
+    assert(e.versions.currentVersion(victim.id) == 1)
+  }
+
   test("recall stays high through an update cycle (insert+delete+drain)") {
     val (e, base) = fresh(600, seed = 9)
     var live = base.map(v => (v.id, v.vec)).toMap
