@@ -1,8 +1,9 @@
 package repro.core.distributed
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 
 import repro.centroid.BruteForceCentroidIndex
 import repro.cluster.HierarchicalBuild
@@ -12,6 +13,10 @@ import repro.core.{Lire, LireConfig, VectorMath, VersionMap}
   * `<vector id, version, raw vector>` record (§4.3).
   */
 final case class PostingRow(vid: Long, pid: Long, version: Int, vec: Array[Float])
+
+object PostingRow {
+  val schema: StructType = Encoders.product[PostingRow].schema
+}
 
 /** The distributed SPFresh index: LIRE over a data lake.
   *
@@ -52,8 +57,10 @@ final class DistIndex private[distributed] (
 
   private[distributed] def freshPid(): Long = { val p = nextPid; nextPid += 1; p }
 
-  /** The current committed posting dataset. */
-  def postings: DataFrame = spark.read.parquet(currentPath)
+  /** The current committed posting dataset, read with its known schema:
+    * no Spark job infers it from the Parquet footers.
+    */
+  def postings: DataFrame = spark.read.schema(PostingRow.schema).parquet(currentPath)
 
   /** Commit a new index version (immutable Parquet directory + pointer). */
   private[distributed] def commit(df: DataFrame): Unit = {

@@ -3,24 +3,15 @@ package repro.core.distributed
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
-import repro.cluster.BalancedKMeans
+import repro.cluster.{PostingSplit, Split}
 import repro.core.{Lire, VectorMath}
 
-/** Per-split output row produced inside executors: the vector's side of the
-  * balanced 2-means (`side = -1` when garbage-collection alone brought the
-  * posting back under the limit), plus the two fresh centroids (repeated on
-  * every row of the group so the driver can read them back without a second
-  * pass over the vectors).
+/** One oversized posting after its split event, as the lake's split round
+  * emits it from an executor: the old pid and either the [[Split]] or, when
+  * garbage collection alone fit the posting, its live rows in `gc`. Rows
+  * keep the old pid until the driver has allocated the new ones.
   */
-final case class SplitOut(
-    oldPid: Long,
-    side: Int,
-    vid: Long,
-    version: Int,
-    vec: Array[Float],
-    c0: Array[Float],
-    c1: Array[Float],
-)
+final case class SplitOut(oldPid: Long, gc: Seq[PostingRow], split: Option[Split[PostingRow]])
 
 /** Totals of one [[DistRebalancer.run]] — the distributed analogue of
   * [[repro.core.engine.EngineStats]].
@@ -41,14 +32,16 @@ final case class RebalanceStats(
 /** The Local Rebuilder (§4.2) as Spark jobs over the Parquet posting lake.
   *
   * One `run` executes split → reassign → merge rounds until the index is
-  * balanced again: oversized postings are garbage-collected and split with
-  * balanced 2-means *inside executors* (`groupByKey.flatMapGroups`), LIRE's
-  * two necessary conditions (Eq. 1 on the split posting, Eq. 2 on the
-  * reassign-range neighbors) select reassignment candidates as DataFrame
-  * filters, and surviving moves append fresh-version rows while the stale
-  * replicas await the next GC. Convergence of the loop is the paper's §3.4
-  * theorem — each round strictly increases the centroid count, bounded by
-  * the number of live vectors.
+  * balanced again. Each oversized posting goes through the engine's split
+  * event ([[PostingSplit.split]]: GC, balanced 2-means bisection, the two
+  * centroids and the split posting's Eq. 1 candidates) *inside an
+  * executor* (`groupByKey.mapGroups`); one action reads the centroids and
+  * candidates back to the driver, which allocates the fresh pids in
+  * ascending old-pid order. Eq. 2 on the reassign-range neighbors is a
+  * DataFrame filter, and surviving moves append fresh-version rows while
+  * the stale replicas await the next GC. Convergence of the loop is the
+  * paper's §3.4 theorem — each round strictly increases the centroid
+  * count, bounded by the number of live vectors.
   */
 final class DistRebalancer(idx: DistIndex) {
   import idx.spark
@@ -77,106 +70,80 @@ final class DistRebalancer(idx: DistIndex) {
     stats
   }
 
-  /** One split round over every posting whose raw size is over the limit. */
+  /** One split round over every posting whose raw size is over the limit:
+    * the split event ([[PostingSplit.split]]) runs in one executor pass next
+    * to each posting's rows, and one action reads back each posting's
+    * centroids and Eq. 1 candidates.
+    */
   private def splitRound(sizes: Map[Long, (Long, Long)]): RebalanceStats = {
     import spark.implicits._
     val oversized = sizes.collect { case (pid, (raw, _)) if Lire.needsSplit(raw.toInt, cfg) => pid }.toSeq
     if (oversized.isEmpty) return RebalanceStats()
 
     val live = idx.liveUdf
-    val lire = cfg // a local, so the executor closure does not capture this rebalancer
+    val lire = cfg // locals, so the executor closure does not capture this rebalancer
+    val oldCs = oversized.map(pid => pid -> idx.centroids.get(pid).get).toMap
 
-    // GC + balanced 2-means per oversized posting, inside executors.
+    // GC + split event per oversized posting, inside executors.
     val splitOut: Dataset[SplitOut] = idx.postings
       .filter(col("pid").isin(oversized: _*))
       .filter(live(col("vid"), col("version")))
       .as[PostingRow]
       .groupByKey(_.pid)
-      .flatMapGroups { (pid, it) =>
+      .mapGroups { (pid, it) =>
         val rows = it.toVector.groupBy(_.vid).valuesIterator.map(_.head).toVector
-        if (!Lire.needsSplit(rows.length, lire)) {
-          // GC alone fixed it: write back, keep pid and centroid (§4.2.1).
-          val empty = Array.empty[Float]
-          rows.iterator.map(r => SplitOut(pid, -1, r.vid, r.version, r.vec, empty, empty))
-        } else {
-          val (side0, side1) = BalancedKMeans.bisect(rows.map(_.vec), seed = pid)
-          val part0 = side0.map(rows)
-          val part1 = side1.map(rows)
-          val c0 = VectorMath.mean(part0.map(_.vec))
-          val c1 = VectorMath.mean(part1.map(_.vec))
-          part0.iterator.map(r => SplitOut(pid, 0, r.vid, r.version, r.vec, c0, c1)) ++
-            part1.iterator.map(r => SplitOut(pid, 1, r.vid, r.version, r.vec, c0, c1))
-        }
+        val split = PostingSplit.split(rows, (_: PostingRow).vec, oldCs(pid), lire, pid)
+        // GC alone fixed it: write back, keep pid and centroid (§4.2.1).
+        SplitOut(pid, if (split.isEmpty) rows else Nil, split)
       }
       .persist()
 
-    // Driver reads back one metadata row per posting: did it split, and into
-    // which centroids.
-    val meta = splitOut
-      .groupBy(col("oldPid"))
-      .agg(max(col("side")).as("maxSide"), first(col("c0")).as("c0"), first(col("c1")).as("c1"))
-      .collect()
-      .map(r => (r.getLong(0), r.getInt(1),
-        r.getSeq[Float](2).toArray, r.getSeq[Float](3).toArray))
+    // The driver reads the centroids and Eq. 1 candidates, not the halves.
+    val events = splitOut.map(s => s.oldPid -> s.split.map(_.copy(half0 = Nil, half1 = Nil)))
+      .collect().sortBy(_._1)
+    val splits = events.collect { case (pid, Some(sp)) => pid -> sp }
+    val gcOnlyCount = events.length - splits.length
 
-    val splitPids = meta.collect { case (pid, maxSide, _, _) if maxSide >= 0 => pid }.toSet
-    val gcOnlyCount = meta.length - splitPids.size
-
-    // Allocate fresh pids; update the driver centroid index (§4.1: "update
-    // the memory SPTAG index with the new posting centroids"). The reassign
-    // range of each split (Eq. 2) is the old centroid's nearest postings
-    // among those not split this round (their vectors go through Eq. 1), so
-    // it is taken between removing the old centroids and inserting the new.
-    val newPids: Map[Long, (Long, Long)] = meta.collect {
-      case (pid, maxSide, _, _) if maxSide >= 0 => pid -> ((idx.freshPid(), idx.freshPid()))
-    }.toMap
-    val splitInfo: Map[Long, (Array[Float], Array[Float], Array[Float])] = meta.collect {
-      case (pid, maxSide, c0, c1) if maxSide >= 0 =>
-        pid -> ((idx.centroids.get(pid).get, c0, c1))
-    }.toMap
-    splitPids.foreach(idx.centroids.remove)
+    // Allocate fresh pids in ascending old-pid order; update the driver
+    // centroid index (§4.1: "update the memory SPTAG index with the new
+    // posting centroids"). The reassign range of each split (Eq. 2) is the
+    // old centroid's nearest postings among those not split this round
+    // (their vectors go through Eq. 1), so it is taken between removing the
+    // old centroids and inserting the new.
+    val newPids: Map[Long, (Long, Long)] =
+      splits.map { case (pid, _) => pid -> ((idx.freshPid(), idx.freshPid())) }.toMap
+    val splitInfo: Map[Long, (Array[Float], Array[Float], Array[Float])] =
+      splits.map { case (pid, sp) => pid -> ((oldCs(pid), sp.c0, sp.c1)) }.toMap
+    splits.foreach { case (pid, _) => idx.centroids.remove(pid) }
     val neighborMap: Map[Long, Seq[Long]] =
       if (cfg.reassignRange == 0) Map.empty
       else splitInfo.map { case (pid, (oldC, _, _)) =>
         pid -> idx.centroids.nearest(oldC, cfg.reassignRange).map(_._1)
       }
-    splitInfo.foreach { case (pid, (_, c0, c1)) =>
+    splits.foreach { case (pid, sp) =>
       val (p0, p1) = newPids(pid)
-      idx.centroids.insert(p0, c0)
-      idx.centroids.insert(p1, c1)
+      idx.centroids.insert(p0, sp.c0)
+      idx.centroids.insert(p1, sp.c1)
     }
 
-    // Relabel split rows to their new posting ids (GC-only rows keep theirs).
-    val bcNew = spark.sparkContext.broadcast(newPids)
-    val relabelUdf = udf { (oldPid: Long, side: Int) =>
-      if (side < 0) oldPid
-      else { val (p0, p1) = bcNew.value(oldPid); if (side == 0) p0 else p1 }
-    }
-    val relabeled = splitOut
-      .withColumn("pid", relabelUdf(col("oldPid"), col("side")))
-      .select(col("vid"), col("pid"), col("version"), col("vec"))
-
+    // The commit explodes the halves under their new posting ids
+    // (GC-only rows keep theirs).
+    val relabeled = splitOut.flatMap { s =>
+      s.split.fold(s.gc) { sp =>
+        val (p0, p1) = newPids(s.oldPid)
+        sp.half0.map(_.copy(pid = p0)) ++ sp.half1.map(_.copy(pid = p1))
+      }
+    }.toDF()
     val kept = idx.postings.filter(!col("pid").isin(oversized: _*))
-      .select(col("vid"), col("pid"), col("version"), col("vec"))
     val afterSplit = kept.unionByName(relabeled)
 
     // ---- reassign candidates -------------------------------------------
-    // Condition 1 (Eq. 1) and the far-half rule: vectors of the split
-    // postings themselves.
-    val bcInfo = spark.sparkContext.broadcast(splitInfo)
-    val cond1Udf = udf { (oldPid: Long, side: Int, vec: Seq[Float]) =>
-      bcInfo.value.get(oldPid) match {
-        case None => false
-        case Some((oldC, c0, c1)) =>
-          if (side == 0) Lire.splitCandidate(vec.toArray, oldC, c0, c1)
-          else Lire.splitCandidate(vec.toArray, oldC, c1, c0)
-      }
-    }
-    val cand1 = splitOut
-      .filter(col("side") >= 0)
-      .filter(cond1Udf(col("oldPid"), col("side"), col("vec")))
-      .withColumn("fromPid", relabelUdf(col("oldPid"), col("side")))
-      .select(col("vid"), col("fromPid"), col("version"), col("vec"))
+    // Condition 1 (Eq. 1) and the far-half rule: the split event's
+    // candidates, homed in the new postings.
+    val cand1 = splits.toSeq.flatMap { case (pid, sp) =>
+      val (p0, p1) = newPids(pid)
+      sp.cand0.map(_.copy(pid = p0)) ++ sp.cand1.map(_.copy(pid = p1))
+    }.toDF().withColumnRenamed("pid", "fromPid")
 
     // Condition 2 (Eq. 2): vectors in the reassign range of each split.
     val neighborToSplits: Map[Long, Seq[Long]] =
@@ -186,6 +153,7 @@ final class DistRebalancer(idx: DistIndex) {
       if (neighborToSplits.isEmpty) spark.emptyDataFrame.select()
       else {
         val bcNbr = spark.sparkContext.broadcast(neighborToSplits)
+        val bcInfo = spark.sparkContext.broadcast(splitInfo)
         val cond2Udf = udf { (pid: Long, vec: Seq[Float]) =>
           bcNbr.value.get(pid) match {
             case None => false
@@ -208,7 +176,7 @@ final class DistRebalancer(idx: DistIndex) {
     val (reassigned, withMoves) = applyReassigns(candidates, afterSplit)
     idx.commit(withMoves)
     splitOut.unpersist()
-    RebalanceStats(splits = splitPids.size, gcOnlySplits = gcOnlyCount) + reassigned
+    RebalanceStats(splits = splits.length, gcOnlySplits = gcOnlyCount) + reassigned
   }
 
   /** One merge round over every posting whose live size is under the

@@ -4,7 +4,7 @@ import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 import repro.centroid.{BruteForceCentroidIndex, CentroidIndex}
-import repro.cluster.{BalancedKMeans, HierarchicalBuild}
+import repro.cluster.{HierarchicalBuild, PostingSplit}
 import repro.core.{Lire, LireConfig, VectorMath, VersionMap}
 import repro.storage.{BlockController, IoDelta, VectorRecord}
 
@@ -254,18 +254,12 @@ final class SpFreshEngine(
 
     // GC pass (§4.2.1): if pruning stale replicas already fits the limit,
     // write back and stop — no split needed.
-    if (!Lire.needsSplit(live.length, cfg)) {
+    val split = PostingSplit.split(live, (_: VectorRecord).vec, oldC, cfg, rnd.nextLong()).getOrElse {
       stats.gcOnlySplits += 1
       store.put(pid, live)
       return
     }
-
     stats.splitsExecuted += 1
-    val (side0, side1) = BalancedKMeans.bisect(live.map(_.vec), seed = rnd.nextLong())
-    val part0 = side0.map(live)
-    val part1 = side1.map(live)
-    val c0 = VectorMath.mean(part0.map(_.vec))
-    val c1 = VectorMath.mean(part1.map(_.vec))
 
     // Neighbor postings are chosen by proximity to the *old* centroid before
     // it disappears (§3.3: "selecting several A_o's nearest postings").
@@ -275,23 +269,20 @@ final class SpFreshEngine(
       else Seq.empty
 
     val p0 = freshPid(); val p1 = freshPid()
-    store.put(p0, part0)
-    store.put(p1, part1)
-    centroids.insert(p0, c0)
-    centroids.insert(p1, c1)
+    store.put(p0, split.half0)
+    store.put(p1, split.half1)
+    centroids.insert(p0, split.c0)
+    centroids.insert(p1, split.c1)
     centroids.remove(pid)
     store.delete(pid)
 
     if (reassignEnabled) {
-      val newCs = Seq(c0, c1)
       // Condition 1 and the far-half rule: vectors of the split posting itself.
-      Seq((part0, p0, c0, c1), (part1, p1, c1, c0)).foreach { case (part, home, ownC, otherC) =>
-        part.foreach { rec =>
-          if (Lire.splitCandidate(rec.vec, oldC, ownC, otherC))
-            enqueueReassign(rec.vid, rec.vec, home, versions.currentVersion(rec.vid))
-        }
+      Seq(split.cand0 -> p0, split.cand1 -> p1).foreach { case (cands, home) =>
+        cands.foreach(rec => enqueueReassign(rec.vid, rec.vec, home, versions.currentVersion(rec.vid)))
       }
       // Condition 2: vectors in the reassign range.
+      val newCs = Seq(split.c0, split.c1)
       neighbors.foreach { nb =>
         liveRecords(store.get(nb)).foreach { rec =>
           if (Lire.condition2(rec.vec, oldC, newCs))

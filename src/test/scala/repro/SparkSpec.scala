@@ -19,6 +19,28 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `body`'s result and the number of Spark jobs it launched, counted
+    * under a job group of its own. The status tracker learns of jobs from
+    * the listener bus, asynchronously but in order, so a marker job run in
+    * a second group after `body` is waited for before counting.
+    */
+  def countJobs[T](body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val group = s"count-jobs-${java.util.UUID.randomUUID}"
+    def inGroup[U](g: String)(f: => U): U = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    val out = inGroup(group)(body)
+    inGroup(s"$group-marker")(sc.parallelize(Seq(1), 1).count())
+    val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+    while (sc.statusTracker.getJobIdsForGroup(s"$group-marker").isEmpty) {
+      assert(System.nanoTime() < deadline, "the marker job never reached the status tracker")
+      Thread.sleep(10)
+    }
+    (out, sc.statusTracker.getJobIdsForGroup(group).length)
+  }
 }
 
 object SparkSpec {

@@ -4,6 +4,7 @@ import scala.util.Random
 
 import repro.SparkSpec
 import repro.centroid.BruteForceCentroidIndex
+import repro.cluster.{BalancedKMeans, PostingSplit}
 import repro.core.VectorMath.sqDist
 
 /** Tests of LIRE's two necessary conditions (§3.3) including the paper's
@@ -203,6 +204,52 @@ class LireSpec extends SparkSpec {
     assert(!Lire.splitCandidate(v, oldA, ownC = a2, otherC = a1))
     // Eq. 1 still flags a vector both new centroids moved away from.
     assert(Lire.splitCandidate(Array(0f, 3f), oldA, ownC = a2, otherC = a1))
+  }
+
+  // A posting of 40 (id, vector) rows from two overlapping 2-D blobs, and
+  // an old centroid off their mean, so that some rows are candidates.
+  private val splitCfg = LireConfig(splitLimit = 32, mergeThreshold = 4)
+  private val posting: IndexedSeq[(Long, Array[Float])] = {
+    val rnd = new Random(11)
+    (0 until 40).map { i =>
+      val cx = if (i % 2 == 0) -1.0 else 1.0
+      (i.toLong, Array((cx + rnd.nextGaussian()).toFloat, rnd.nextGaussian().toFloat))
+    }
+  }
+  private val postingC = Array(0.3f, 0.2f)
+  private def splitEvent(rows: IndexedSeq[(Long, Array[Float])], seed: => Long) =
+    PostingSplit.split(rows, (_: (Long, Array[Float]))._2, postingC, splitCfg, seed)
+
+  test("split event: the halves partition the live rows as BalancedKMeans.bisect does") {
+    val split = splitEvent(posting, 5L).get
+    val (side0, side1) = BalancedKMeans.bisect(posting.map(_._2), seed = 5L)
+    assert(split.half0 == side0.map(posting))
+    assert(split.half1 == side1.map(posting))
+    assert((split.half0 ++ split.half1).map(_._1).sorted == posting.map(_._1))
+  }
+
+  test("split event: each centroid is its half's mean") {
+    val split = splitEvent(posting, 5L).get
+    assert(split.c0.sameElements(VectorMath.mean(split.half0.map(_._2))))
+    assert(split.c1.sameElements(VectorMath.mean(split.half1.map(_._2))))
+  }
+
+  test("split event: the candidates are exactly the rows Lire.splitCandidate flags") {
+    val split = splitEvent(posting, 5L).get
+    assert(split.cand0 == split.half0.filter(r => Lire.splitCandidate(r._2, postingC, split.c0, split.c1)))
+    assert(split.cand1 == split.half1.filter(r => Lire.splitCandidate(r._2, postingC, split.c1, split.c0)))
+    val flagged = split.cand0.length + split.cand1.length
+    assert(flagged > 0 && flagged < posting.length, s"$flagged of ${posting.length} flagged")
+  }
+
+  test("split event: none at or under the split limit, and the seed is not drawn") {
+    var drawn = 0
+    def seed: Long = { drawn += 1; 5L }
+    assert(splitEvent(posting.take(splitCfg.splitLimit), seed).isEmpty)
+    assert(splitEvent(posting.take(3), seed).isEmpty)
+    assert(drawn == 0)
+    assert(splitEvent(posting.take(splitCfg.splitLimit + 1), seed).isDefined)
+    assert(drawn == 1)
   }
 
   test("LireConfig rejects nonsensical parameters") {

@@ -29,6 +29,13 @@ class DistIndexSpec extends SparkSpec {
     assert(vids == base.map(_.id).toSet)
   }
 
+  test("reading the lake launches no Spark job (its schema is known)") {
+    val (idx, _) = fresh(100)
+    val (postings, jobs) = countJobs(idx.postings)
+    assert(jobs == 0)
+    assert(postings.schema.fieldNames.toSeq == Seq("vid", "pid", "version", "vec"))
+  }
+
   test("build postings respect the split limit (live sizes)") {
     val (idx, _) = fresh(300)
     assert(idx.rawSizesAndLive().values.forall(_._2 <= cfg.splitLimit))

@@ -139,6 +139,30 @@ class DistRebalancerSpec extends SparkSpec {
     assert(idx.postings.filter(col("vid") === 999L && col("pid") === 1L && col("version") === 1).count() == 1)
   }
 
+  test("a split round allocates fresh pids in ascending old-pid order") {
+    // Six postings far apart, each one vector over the limit: posting i
+    // (centroid (10i, 0)) holds vids 100i until 100i + 41 in two blobs.
+    import spark.implicits._
+    val handCfg = LireConfig(splitLimit = 40, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
+    val idx = new DistIndex(spark, Files.createTempDirectory("pidlake").toString, 2, handCfg)
+    val postings = 0 until 6
+    val rows = for (i <- postings; j <- 0 until 41) yield
+      PostingRow(100L * i + j, i.toLong, 0, Array(10f * i + (if (j < 21) -1f else 1f), (j % 21 - 10) * 0.01f))
+    postings.foreach(i => idx.centroids.insert(idx.freshPid(), Array(10f * i, 0f)))
+    rows.foreach(r => idx.versions.register(r.vid))
+    idx.commit(rows.toDF())
+    // Spark then keeps the shuffle's partitions, which hash the pids out of
+    // order; the pids must not depend on that.
+    val coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
+    spark.conf.set(coalesce, false)
+    try assert(new DistRebalancer(idx).run(maxRounds = 1).splits == postings.length)
+    finally spark.conf.unset(coalesce)
+    val origins = idx.postings.select("pid", "vid").collect()
+      .groupMap(_.getLong(0))(_.getLong(1) / 100).view.mapValues(_.toSet).toMap
+    // Old posting i's halves are the (2i)-th and (2i+1)-th fresh pids.
+    assert(origins == postings.flatMap(i => Seq(6L + 2 * i, 7L + 2 * i).map(_ -> Set(i.toLong))).toMap)
+  }
+
   test("mass deletion triggers merges that remove centroids") {
     val (idx, base) = fresh(300, seed = 11)
     val before = idx.centroidSnapshot.length
@@ -153,11 +177,14 @@ class DistRebalancerSpec extends SparkSpec {
 
   test("rebalance counts are pinned: insert storm and mass deletion") {
     // Exact counts of two seeded scenarios: any change to what the lake's
-    // LIRE does (not only how fast) shows here.
+    // LIRE does (not only how fast) shows here, and the storm's Spark job
+    // count shows any change to how many passes it makes over the lake.
     val (storm, _) = fresh(200)
     storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
-    assert(new DistRebalancer(storm).run() == RebalanceStats(rounds = 4, splits = 15,
+    val (stormStats, stormJobs) = countJobs(new DistRebalancer(storm).run())
+    assert(stormStats == RebalanceStats(rounds = 4, splits = 15,
       gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
+    assert(stormJobs == 24)
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 
