@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.concurrent.ConcurrentHashMap
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
 /** Global in-memory vector version map (§4.1, §4.2.1).
   *
@@ -14,6 +14,13 @@ import java.util.concurrent.atomic.AtomicInteger
   */
 final class VersionMap {
   private val states = new ConcurrentHashMap[Long, AtomicInteger]()
+  private val mods = new AtomicLong
+
+  /** Number of state changes so far. A reader that caches a view of the
+    * map (the lake's broadcast of dirty states) rebuilds it only when this
+    * count has moved.
+    */
+  def modCount: Long = mods.get()
 
   /** Max representable version before the 7-bit counter wraps. */
   val MaxVersion: Int = 127
@@ -28,6 +35,7 @@ final class VersionMap {
     */
   def register(vid: Long): Int = {
     val known = states.putIfAbsent(vid, new AtomicInteger(0))
+    mods.incrementAndGet()
     if (known == null) 0
     else known.updateAndGet(st => (((st >>> 1) + 1) & MaxVersion) << 1) >>> 1
   }
@@ -55,6 +63,7 @@ final class VersionMap {
     val s = cell(vid)
     var cur = s.get()
     while ((cur & 1) == 0 && !s.compareAndSet(cur, cur | 1)) cur = s.get()
+    if ((cur & 1) == 0) mods.incrementAndGet()
   }
 
   /** A disk replica recorded at `diskVersion` is stale when it disagrees
@@ -81,7 +90,7 @@ final class VersionMap {
       if ((cur & 1) == 1 || (cur >>> 1) != expected) None
       else {
         val next = ((expected + 1) & MaxVersion) << 1
-        if (s.compareAndSet(cur, next)) Some(next >>> 1) else None
+        if (s.compareAndSet(cur, next)) { mods.incrementAndGet(); Some(next >>> 1) } else None
       }
     }
   }
@@ -111,6 +120,7 @@ final class VersionMap {
 
   /** Restore from a [[snapshot]]. Replaces all current state. */
   def restore(snap: Map[Long, (Int, Boolean)]): Unit = {
+    mods.incrementAndGet()
     states.clear()
     snap.foreach { case (vid, (ver, del)) =>
       states.put(vid, new AtomicInteger((ver << 1) | (if (del) 1 else 0)))

@@ -1,9 +1,14 @@
 package repro.core.distributed
 
+import java.nio.file.{Files, Path, Paths, StandardCopyOption}
+
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{IntegerType, StructType}
 
 import repro.centroid.BruteForceCentroidIndex
 import repro.cluster.HierarchicalBuild
@@ -16,7 +21,32 @@ final case class PostingRow(vid: Long, pid: Long, version: Int, vec: Array[Float
 
 object PostingRow {
   val schema: StructType = Encoders.product[PostingRow].schema
+
+  /** The schema of the lake's data files: each row also stores the
+    * sequence number of the commit that wrote it.
+    */
+  private[distributed] val fileSchema: StructType = schema.add("seq", IntegerType, nullable = false)
 }
+
+/** One posting's entry in the lake's driver-side posting table, the
+  * Parquet twin of the Block Controller's block mapping (§4.3): the commit
+  * that last rewrote the posting (its rows written by earlier commits are
+  * hidden), and its raw and live row counts.
+  */
+final case class PostingMeta(generation: Int, raw: Long, live: Long)
+
+/** What one commit does to the posting table: `dropped` postings leave it,
+  * `rewritten` ones restart at this commit (their older rows are hidden),
+  * then every row the commit writes counts once, raw and live, in the
+  * posting `written` lists for it, and every visible row that stops being
+  * live leaves the live count of the posting `staled` lists for it.
+  */
+private[distributed] final case class TableEdit(
+    written: Seq[Long],
+    staled: Seq[Long] = Nil,
+    dropped: Set[Long] = Set.empty,
+    rewritten: Set[Long] = Set.empty,
+)
 
 /** The distributed SPFresh index: LIRE over a data lake.
   *
@@ -25,9 +55,18 @@ object PostingRow {
   * vector partitions as Parquet files with incremental split/reassign
   * jobs". The mapping from the paper:
   *
-  *  - postings → rows of an immutable Parquet dataset under `rootDir`;
-  *    every update/rebalance epoch commits a new version directory
-  *    (copy-on-write, like the Block Controller's append-only blocks);
+  *  - postings → rows of immutable, append-only Parquet files under
+  *    `rootDir/data`. A commit writes only its new rows, as one new file,
+  *    and then a manifest (file list + driver state) that it renames into
+  *    place atomically, after the transaction log of Delta Lake (Armbrust
+  *    et al., VLDB 2020). Each row stores the commit that wrote it;
+  *  - the Block Controller's block mapping (§4.3) → the driver's posting
+  *    table: each posting's *generation* (the commit that last rewrote it)
+  *    and its raw and live lengths. A row is visible iff its posting is in
+  *    the table and it was written at or after the posting's generation,
+  *    so a split, merge or GC rewrite hides the old rows without touching
+  *    their files. The table is kept exact by the operations that change
+  *    it, so the rebuilder never scans the lake to decide what to split;
   *  - SPTAG centroid index + version map → driver-resident metadata,
   *    exactly the structures the paper keeps in DRAM (§4.1): the same
   *    [[BruteForceCentroidIndex]] and [[VersionMap]] the single-node engine
@@ -41,7 +80,11 @@ object PostingRow {
   *
   * Stale replicas behave as on SSD: superseded versions stay in the lake
   * until the next split of their posting garbage-collects them; queries
-  * filter them through the broadcast version map.
+  * filter them through the broadcast version map. Hidden rows stay in
+  * their files until a compaction rewrites the visible rows into fresh
+  * files, which a commit runs when hidden rows outnumber visible ones or
+  * when the file list would pass Spark's parallel-listing threshold; the
+  * files the manifest no longer lists are then deleted.
   */
 final class DistIndex private[distributed] (
     val spark: SparkSession,
@@ -49,30 +92,160 @@ final class DistIndex private[distributed] (
     val dim: Int,
     val cfg: LireConfig,
 ) {
+  import spark.implicits._
+
   private[distributed] val centroids = new BruteForceCentroidIndex
   private[distributed] val versions = new VersionMap
   private[distributed] var nextPid: Long = 0L
+  /** The posting table: pid -> generation and raw / live lengths. */
+  private[distributed] val table = mutable.LongMap.empty[PostingMeta]
+  /** (vid, version) pairs whose rows stopped being live, by a delete or a
+    * re-insert, since the last [[settle]].
+    */
+  private val pending = mutable.LinkedHashSet.empty[(Long, Int)]
   private var commitSeq: Int = 0
-  private var currentPath: String = _
+  /** The lake's data files, relative to [[dataDir]]. */
+  private[distributed] var files: Vector[String] = Vector.empty
+  private var fileRows: Long = 0L
+  private var visibleUdf: UserDefinedFunction = _
+  private var liveCache: (Long, Map[Long, (Int, Boolean)], UserDefinedFunction) = (-1L, null, null)
+
+  private def dataDir: Path = Paths.get(rootDir, "data")
+  /** Where Spark writes a commit's files before they move to [[dataDir]]. */
+  private def stagingDir: Path = Paths.get(rootDir, "_staging")
 
   private[distributed] def freshPid(): Long = { val p = nextPid; nextPid += 1; p }
 
-  /** The current committed posting dataset, read with its known schema:
-    * no Spark job infers it from the Parquet footers.
+  /** The visible rows of the lake, `(vid, pid, version, vec)`: the
+    * manifest's data files read with their known schema, so no Spark job
+    * infers it from the Parquet footers, and never more files than Spark
+    * lists on the driver.
     */
-  def postings: DataFrame = spark.read.schema(PostingRow.schema).parquet(currentPath)
+  def postings: DataFrame =
+    spark.read.schema(PostingRow.fileSchema).parquet(files.map(dataDir.resolve(_).toString): _*)
+      .filter(visibleUdf(col("pid"), col("seq")))
+      .select(col("vid"), col("pid"), col("version"), col("vec"))
 
-  /** Commit a new index version (immutable Parquet directory + pointer). */
-  private[distributed] def commit(df: DataFrame): Unit = {
-    val path = s"$rootDir/postings_v$commitSeq"
+  /** Rebuild the visibility filter after the posting table's generations
+    * changed: a row is visible iff its pid is in the table and it was
+    * written at or after that pid's generation.
+    */
+  private def refresh(): Unit = {
+    val gens = Array.fill(nextPid.toInt)(Int.MaxValue)
+    table.foreach { case (pid, m) => gens(pid.toInt) = m.generation }
+    val bc = spark.sparkContext.broadcast(gens)
+    visibleUdf = udf((pid: Long, seq: Int) => pid < bc.value.length && seq >= bc.value(pid.toInt))
+  }
+
+  /** Commit `rows` (vid, pid, version, vec), each live, as one new data
+    * file (`nFiles` at most), apply `edit` to the posting table, compact
+    * when due, and write the manifest.
+    */
+  private[distributed] def commit(rows: DataFrame, edit: TableEdit, nFiles: Int = 1): Unit = {
+    val seq = commitSeq
+    if (edit.written.nonEmpty) {
+      files ++= writeFiles(rows, seq, "c", nFiles)
+      fileRows += edit.written.size
+    }
+    edit.dropped.foreach(table.remove)
+    edit.rewritten.foreach(table(_) = PostingMeta(seq, 0, 0))
+    def add(pid: Long, raw: Long, live: Long): Unit = {
+      val m = table.getOrElse(pid, PostingMeta(seq, 0, 0))
+      table(pid) = m.copy(raw = m.raw + raw, live = m.live + live)
+    }
+    edit.written.foreach(add(_, 1, 1))
+    edit.staled.foreach(add(_, 0, -1))
+    refresh()
+    val visibleRows = table.valuesIterator.map(_.raw).sum
+    val compact = fileRows - visibleRows > visibleRows || files.size > listingThreshold
+    if (compact) {
+      files = writeFiles(postings, seq, "compact", fanout).toVector
+      fileRows = visibleRows
+      table.mapValuesInPlace((_, m) => m.copy(generation = seq))
+      refresh()
+    }
     commitSeq += 1
-    df.select(col("vid"), col("pid"), col("version"), col("vec"))
-      .write.mode("overwrite").parquet(path)
-    currentPath = path
+    Manifest(commitSeq, dim, cfg, nextPid, fileRows, files, centroids.all.toSeq, table.toSeq,
+      dirtyStates, pending.toSeq).write(Paths.get(rootDir, DistIndex.ManifestName))
+    if (compact) vacuum()
+  }
+
+  /** Commit hand-made rows (vid, pid, version, vec): one scan counts them
+    * into the posting table.
+    */
+  private[distributed] def commit(rows: DataFrame): Unit = {
+    val counted = rows.select(col("pid"), liveUdf(col("vid"), col("version"))).collect()
+    commit(rows, TableEdit(written = counted.map(_.getLong(0)).toSeq,
+      staled = counted.collect { case r if !r.getBoolean(1) => r.getLong(0) }.toSeq))
   }
 
   /** Number of committed index versions so far. */
   def commits: Int = commitSeq
+
+  /** Spark lists more paths than this with a Spark job; the lake keeps its
+    * file list within it.
+    */
+  private def listingThreshold: Int =
+    spark.conf.get("spark.sql.sources.parallelPartitionDiscovery.threshold").toInt
+
+  /** Files a build or a compaction writes: one per core, well within the
+    * listing threshold.
+    */
+  private def fanout: Int = math.max(1, math.min(spark.sparkContext.defaultParallelism, listingThreshold / 2))
+
+  /** Write `rows` stamped with commit `seq` into at most `nFiles` Parquet
+    * files under [[dataDir]] and return their names.
+    */
+  private def writeFiles(rows: DataFrame, seq: Int, tag: String, nFiles: Int): Seq[String] = {
+    val staging = stagingDir.resolve(s"$seq-$tag")
+    rows.select(col("vid"), col("pid"), col("version"), col("vec"), lit(seq).as("seq"))
+      .coalesce(nFiles).write.mode("overwrite").parquet(staging.toString)
+    Files.createDirectories(dataDir)
+    val parts = listDir(staging).filter(_.getFileName.toString.matches("part-.*\\.parquet")).sorted
+    val names = parts.zipWithIndex.map { case (p, k) =>
+      val name = f"$seq%06d-$tag-$k.parquet"
+      Files.move(p, dataDir.resolve(name), StandardCopyOption.REPLACE_EXISTING)
+      name
+    }
+    deleteTree(staging)
+    names
+  }
+
+  /** Delete every data file the manifest does not list, and what crashed
+    * commits left in [[stagingDir]].
+    */
+  private def vacuum(): Unit = {
+    val keep = files.toSet
+    listDir(dataDir).filterNot(p => keep(p.getFileName.toString)).foreach(Files.delete)
+    if (Files.exists(stagingDir)) deleteTree(stagingDir)
+  }
+
+  private def listDir(dir: Path): Seq[Path] = {
+    val s = Files.list(dir)
+    try s.iterator().asScala.toVector finally s.close()
+  }
+
+  private def deleteTree(dir: Path): Unit = {
+    val s = Files.walk(dir)
+    try s.iterator().asScala.toVector.reverse.foreach(Files.delete) finally s.close()
+  }
+
+  /** Restore the driver state of `m`. The manifest keeps only the dirty
+    * version states; every other vid in the lake is live at version 0, and
+    * one scan of the lake's vids finds them.
+    */
+  private def restore(m: Manifest): Unit = {
+    commitSeq = m.seq
+    nextPid = m.nextPid
+    files = m.files.toVector
+    fileRows = m.fileRows
+    m.centroids.foreach { case (pid, c) => centroids.insert(pid, c) }
+    table ++= m.table
+    pending ++= m.pending
+    refresh()
+    val clean = postings.select("vid").distinct().as[Long].collect().filterNot(m.dirty.contains)
+    versions.restore(m.dirty ++ clean.map(_ -> ((0, false))))
+  }
 
   // ------------------------------------------------------------ driver views
 
@@ -82,43 +255,43 @@ final class DistIndex private[distributed] (
   /** Driver-side nearest-centroid search (the SPTAG role). */
   def nearestPids(v: Array[Float], k: Int): Seq[Long] = centroids.nearest(v, k).map(_._1)
 
-  /** UDF: a vector's closure posting set ([[Lire.closure]] over its
-    * `maxReplicas` nearest centroids), against a broadcast of the current
-    * centroids.
+  /** A vector's closure posting set ([[Lire.closure]] over its
+    * `maxReplicas` nearest centroids).
     */
-  private def closureUdf: UserDefinedFunction = {
-    val bc = spark.sparkContext.broadcast(centroids.arrays)
-    val eps = cfg.replicaEpsilon
-    val maxRep = cfg.maxReplicas
-    udf { (vec: Seq[Float]) =>
-      val (pids, vecs) = bc.value
-      Lire.closure(VectorMath.nearestK(vec.toArray, pids, vecs, pids.length, maxRep).result, eps)
+  private[distributed] def closure(v: Array[Float]): Seq[Long] =
+    Lire.closure(centroids.nearest(v, cfg.maxReplicas), cfg.replicaEpsilon)
+
+  /** The version map's dirty states and the live-row UDF over their
+    * broadcast, rebuilt only when the version map has changed.
+    */
+  private def liveView: (Long, Map[Long, (Int, Boolean)], UserDefinedFunction) = {
+    val mods = versions.modCount
+    if (liveCache._1 != mods) {
+      val dirty = versions.snapshot().filter { case (_, (v, d)) => v > 0 || d }
+      val bc = spark.sparkContext.broadcast(dirty)
+      liveCache = (mods, dirty, udf { (vid: Long, version: Int) =>
+        bc.value.get(vid) match {
+          case None                 => version == 0
+          case Some((_, true))      => false
+          case Some((cur, false))   => version == cur
+        }
+      })
     }
+    liveCache
   }
 
   /** Vector states that differ from the freshly-inserted default — the only
     * part of the version map queries need (kept small for broadcast).
     */
-  def dirtyStates: Map[Long, (Int, Boolean)] =
-    versions.snapshot().filter { case (_, (v, d)) => v > 0 || d }
+  def dirtyStates: Map[Long, (Int, Boolean)] = liveView._2
 
   /** UDF: a stored row is live iff not tombstoned and its on-lake version
     * matches the in-memory one (§4.1 staleness rule).
     */
-  def liveUdf: UserDefinedFunction = {
-    val bc = spark.sparkContext.broadcast(dirtyStates)
-    udf { (vid: Long, version: Int) =>
-      bc.value.get(vid) match {
-        case None                 => version == 0
-        case Some((_, true))      => false
-        case Some((cur, false))   => version == cur
-      }
-    }
-  }
+  def liveUdf: UserDefinedFunction = liveView._3
 
   /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
-    * scan of the lake: the raw count is the split trigger, the live count
-    * (stale replicas and tombstones out) the merge trigger.
+    * scan of the lake: the ground truth the posting table must equal.
     */
   def rawSizesAndLive(): Map[Long, (Long, Long)] = {
     val live = liveUdf(col("vid"), col("version"))
@@ -126,12 +299,27 @@ final class DistIndex private[distributed] (
       .collect().map(r => r.getLong(0) -> ((r.getLong(1), r.getLong(2)))).toMap
   }
 
-  /** Raw on-lake record count per posting (split trigger, like the block
-    * mapping's length field).
-    */
+  /** Raw on-lake record count per posting, from one scan of the lake. */
   def rawSizes(): Map[Long, Long] =
     postings.groupBy("pid").count()
       .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+
+  /** Take the rows that deletes and re-inserts made stale since the last
+    * call off the posting table's live counts: one filtered action over
+    * the rows of those vids, none when there are none.
+    */
+  private[distributed] def settle(): Unit = if (pending.nonEmpty) {
+    val pairs = pending.toSet
+    postings.filter(col("vid").isin(pairs.iterator.map(_._1).toSeq.distinct: _*))
+      .select(col("vid"), col("pid"), col("version")).collect()
+      .foreach { r =>
+        if (pairs((r.getLong(0), r.getInt(2)))) {
+          val m = table(r.getLong(1))
+          table(r.getLong(1)) = m.copy(live = m.live - 1)
+        }
+      }
+    pending.clear()
+  }
 
   /** Live vector count. */
   def liveCount: Long = versions.liveIds.size.toLong
@@ -140,34 +328,32 @@ final class DistIndex private[distributed] (
 
   /** Batch insert (the Updater, §4.1): assign each new vector to its
     * closure posting set (SPANN's boundary replication — §3.2 inserts
-    * "following the original SPANN index design") via a broadcast-centroid
-    * Catalyst job and append the rows to the lake. Split jobs are picked up
-    * by the next [[DistRebalancer.run]].
+    * "following the original SPANN index design") against the driver's
+    * centroid index, and append the rows to the lake as one new file. Split
+    * jobs are picked up by the next [[DistRebalancer.run]].
     */
   def insertBatch(vectors: DataFrame): Unit = {
     require(centroids.size > 0, "insertBatch before build")
     // Register versions on the driver (the in-memory version map). A known
     // id gets a version past its old one ([[VersionMap.register]]), so its
-    // rows carry that version and its old rows stay stale.
-    val reused = vectors.select("id").collect().flatMap { r =>
+    // rows carry that version and its old rows go stale.
+    val rows = vectors.select("id", "vec").collect().toSeq.flatMap { r =>
       val vid = r.getLong(0)
+      if (versions.isLive(vid)) pending += vid -> versions.currentVersion(vid)
       val version = versions.register(vid)
-      if (version == 0) None else Some(vid -> version)
-    }.toMap
-    val version = if (reused.isEmpty) lit(0) else coalesce(element_at(typedLit(reused), col("id")), lit(0))
-    val assigned = vectors.select(
-      col("id").as("vid"),
-      explode(closureUdf(col("vec"))).as("pid"),
-      version.as("version"),
-      col("vec"),
-    )
-    commit(postings.unionByName(assigned))
+      val v = r.getSeq[Float](1).toArray
+      closure(v).map(PostingRow(vid, _, version, v))
+    }
+    commit(rows.toDF(), TableEdit(written = rows.map(_.pid)))
   }
 
   /** Batch delete: tombstones in the driver version map; physical rows are
     * GC'd by later splits (§4.1 deferred deletion).
     */
-  def deleteBatch(ids: Seq[Long]): Unit = ids.foreach(versions.markDeleted)
+  def deleteBatch(ids: Seq[Long]): Unit = ids.foreach { vid =>
+    if (versions.isLive(vid)) pending += vid -> versions.currentVersion(vid)
+    versions.markDeleted(vid)
+  }
 
   // --------------------------------------------------------------- searcher
 
@@ -207,25 +393,27 @@ final class DistIndex private[distributed] (
     */
   def recordsPerBlock: Int = math.max(1, math.round(cfg.splitLimit / 3.5f))
 
-  /** Per-query I/O cost in block reads (the IOPS/latency proxy): raw sizes
-    * of the probed postings at [[recordsPerBlock]] packing density.
+  /** Modelled per-query I/O cost in block reads (the IOPS/latency proxy):
+    * the posting table's raw lengths of the probed postings at
+    * [[recordsPerBlock]] packing density.
     */
   def queryIoBlocks(queries: Seq[Array[Float]], probes: Int = -1): Seq[Long] = {
     val nProbes = if (probes > 0) probes else cfg.searchProbes
-    val raw = rawSizes()
     val vpb = recordsPerBlock
     queries.map { q =>
       nearestPids(q, nProbes).map { pid =>
-        math.ceil(raw.getOrElse(pid, 0L).toDouble / vpb).toLong
+        math.ceil(table.get(pid).fold(0L)(_.raw).toDouble / vpb).toLong
       }.sum
     }
   }
 
-  /** Driver memory model (bytes) of the structures the paper keeps in DRAM. */
+  /** Modelled driver memory (bytes) of the structures the paper keeps in
+    * DRAM, with the block mapping sized from the posting table.
+    */
   def modelBytes: Long = {
     val vpb = recordsPerBlock
-    val blocksPerPosting = rawSizes().valuesIterator
-      .map(n => math.ceil(n.toDouble / vpb).toInt).toSeq
+    val blocksPerPosting = table.valuesIterator
+      .map(m => math.ceil(m.raw.toDouble / vpb).toInt).toSeq
     repro.metrics.ResourceModel.clusterIndexBytes(
       centroids.size.toLong, dim, versions.size.toLong, blocksPerPosting)
   }
@@ -240,10 +428,14 @@ object DistIndex {
   val sqDistUdf: UserDefinedFunction =
     udf((a: Seq[Float], b: Seq[Float]) => VectorMath.sqDist(a.toArray, b.toArray))
 
+  /** The manifest's file name under `rootDir`. */
+  private[distributed] val ManifestName = "_manifest"
+
   /** Initial balanced build (SPANN §3.1 as a lake job): centroids come from
     * hierarchical balanced clustering on the driver (the paper builds them
-    * centrally too — they are the in-DRAM metadata); the closure-replica
-    * assignment of every vector is a broadcast+explode Catalyst job.
+    * centrally too — they are the in-DRAM metadata), and so does every
+    * vector's closure-replica assignment; the rows are written one file
+    * per core.
     *
     * @param vectors DataFrame (id BIGINT, vec ARRAY<FLOAT>)
     */
@@ -255,6 +447,7 @@ object DistIndex {
       cfg: LireConfig = LireConfig(),
       seed: Long = 0,
   ): DistIndex = {
+    import spark.implicits._
     val idx = new DistIndex(spark, rootDir, dim, cfg)
     val local = vectors.select("id", "vec").collect()
       .map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
@@ -264,16 +457,21 @@ object DistIndex {
     layout.centroids.foreach(c => idx.centroids.insert(idx.freshPid(), c))
     local.foreach { case (vid, _) => idx.versions.register(vid) }
 
-    // Replica assignment as a Catalyst job: broadcast centroids, emit one
-    // row per (vector, member posting).
-    val rows = vectors.select(
-      col("id").as("vid"),
-      explode(idx.closureUdf(col("vec"))).as("pid"),
-      lit(0).as("version"),
-      col("vec"),
-    )
-    idx.commit(rows)
+    // One row per (vector, member posting).
+    val rows = local.toSeq.flatMap { case (vid, v) => idx.closure(v).map(PostingRow(vid, _, 0, v)) }
+    idx.commit(rows.toDF(), TableEdit(written = rows.map(_.pid)), idx.fanout)
     new DistRebalancer(idx).run()
+    idx
+  }
+
+  /** Reopen the index last committed under `rootDir` from its manifest.
+    * Data files the manifest does not list, such as those of a commit that
+    * crashed before its manifest rename, are ignored.
+    */
+  def open(spark: SparkSession, rootDir: String): DistIndex = {
+    val m = Manifest.read(Paths.get(rootDir, ManifestName))
+    val idx = new DistIndex(spark, rootDir, m.dim, m.cfg)
+    idx.restore(m)
     idx
   }
 }

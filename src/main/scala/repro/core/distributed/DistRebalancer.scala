@@ -1,6 +1,6 @@
 package repro.core.distributed
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 
 import repro.cluster.{PostingSplit, Split}
@@ -32,38 +32,37 @@ final case class RebalanceStats(
 /** The Local Rebuilder (§4.2) as Spark jobs over the Parquet posting lake.
   *
   * One `run` executes split → reassign → merge rounds until the index is
-  * balanced again. Each oversized posting goes through the engine's split
-  * event ([[PostingSplit.split]]: GC, balanced 2-means bisection, the two
-  * centroids and the split posting's Eq. 1 candidates) *inside an
-  * executor* (`groupByKey.mapGroups`); one action reads the centroids and
-  * candidates back to the driver, which allocates the fresh pids in
-  * ascending old-pid order. Eq. 2 on the reassign-range neighbors is a
-  * DataFrame filter, and surviving moves append fresh-version rows while
-  * the stale replicas await the next GC. Convergence of the loop is the
-  * paper's §3.4 theorem — each round strictly increases the centroid
-  * count, bounded by the number of live vectors.
+  * balanced again. Which postings to split or merge it reads from the
+  * lake's posting table, as the paper's rebuilder reads the block mapping's
+  * length field (§4.3): no scan of the lake. Each oversized posting goes
+  * through the engine's split event ([[PostingSplit.split]]: GC, balanced
+  * 2-means bisection, the two centroids and the split posting's Eq. 1
+  * candidates) *inside an executor* (`groupByKey.mapGroups`); one action
+  * reads the centroids, candidates and half memberships back to the
+  * driver, which allocates the fresh pids in ascending old-pid order. Eq. 2
+  * on the reassign-range neighbors is a DataFrame filter, and surviving
+  * moves append fresh-version rows while the stale replicas await the next
+  * GC. A round's commit writes only its new rows. Convergence of the loop
+  * is the paper's §3.4 theorem — each round strictly increases the
+  * centroid count, bounded by the number of live vectors.
   */
 final class DistRebalancer(idx: DistIndex) {
   import idx.spark
+  import spark.implicits._
   private val cfg = idx.cfg
 
-  /** Rebalance to a stable state (or `maxRounds`). The lake's posting
-    * sizes are scanned once per lake version: at the start and after each
-    * commit. Only a commit changes them here, since every version bump of
-    * a reassign is committed with it.
+  /** Rebalance to a stable state (or `maxRounds`). The posting table's
+    * live counts are settled first: one filtered action over the rows of
+    * the vids deleted or re-inserted since the last run, none when there
+    * are none.
     */
   def run(maxRounds: Int = 50): RebalanceStats = {
+    idx.settle()
     var stats = RebalanceStats()
-    var sizes = idx.rawSizesAndLive()
-    var scanned = idx.commits
-    def current(): Map[Long, (Long, Long)] = {
-      if (idx.commits != scanned) { sizes = idx.rawSizesAndLive(); scanned = idx.commits }
-      sizes
-    }
     var progress = true
     while (progress && stats.rounds < maxRounds) {
-      val split = splitRound(current())
-      val merge = mergeRound(current())
+      val split = splitRound()
+      val merge = mergeRound()
       stats = stats + split + merge + RebalanceStats(rounds = 1)
       progress = (split.splits + split.gcOnlySplits + merge.merges) > 0
     }
@@ -73,11 +72,10 @@ final class DistRebalancer(idx: DistIndex) {
   /** One split round over every posting whose raw size is over the limit:
     * the split event ([[PostingSplit.split]]) runs in one executor pass next
     * to each posting's rows, and one action reads back each posting's
-    * centroids and Eq. 1 candidates.
+    * centroids, Eq. 1 candidates and the vids of the rows it writes.
     */
-  private def splitRound(sizes: Map[Long, (Long, Long)]): RebalanceStats = {
-    import spark.implicits._
-    val oversized = sizes.collect { case (pid, (raw, _)) if Lire.needsSplit(raw.toInt, cfg) => pid }.toSeq
+  private def splitRound(): RebalanceStats = {
+    val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq.sorted
     if (oversized.isEmpty) return RebalanceStats()
 
     val live = idx.liveUdf
@@ -98,11 +96,14 @@ final class DistRebalancer(idx: DistIndex) {
       }
       .persist()
 
-    // The driver reads the centroids and Eq. 1 candidates, not the halves.
-    val events = splitOut.map(s => s.oldPid -> s.split.map(_.copy(half0 = Nil, half1 = Nil)))
-      .collect().sortBy(_._1)
-    val splits = events.collect { case (pid, Some(sp)) => pid -> sp }
-    val gcOnlyCount = events.length - splits.length
+    // The driver reads the centroids, the Eq. 1 candidates and the vids of
+    // each written posting (the halves, or the GC'd rows), not the vectors.
+    val events = splitOut.map { s =>
+      val written = s.split.fold(Seq(s.gc))(sp => Seq(sp.half0, sp.half1))
+      (s.oldPid, s.split.map(_.copy(half0 = Nil, half1 = Nil)), written.map(_.map(_.vid)))
+    }.collect().sortBy(_._1)
+    val splits = events.collect { case (pid, Some(sp), _) => pid -> sp }
+    val gcOnly = events.collect { case (pid, None, _) => pid }
 
     // Allocate fresh pids in ascending old-pid order; update the driver
     // centroid index (§4.1: "update the memory SPTAG index with the new
@@ -126,16 +127,18 @@ final class DistRebalancer(idx: DistIndex) {
       idx.centroids.insert(p1, sp.c1)
     }
 
-    // The commit explodes the halves under their new posting ids
-    // (GC-only rows keep theirs).
+    // The commit writes the halves under their new posting ids (GC-only
+    // rows keep theirs); `written` is (vid, pid) of each of those rows.
     val relabeled = splitOut.flatMap { s =>
       s.split.fold(s.gc) { sp =>
         val (p0, p1) = newPids(s.oldPid)
         sp.half0.map(_.copy(pid = p0)) ++ sp.half1.map(_.copy(pid = p1))
       }
     }.toDF()
-    val kept = idx.postings.filter(!col("pid").isin(oversized: _*))
-    val afterSplit = kept.unionByName(relabeled)
+    val written = events.toSeq.flatMap { case (pid, _, vids) =>
+      val pids = newPids.get(pid).fold(Seq(pid))(p => Seq(p._1, p._2))
+      pids.zip(vids).flatMap { case (p, vs) => vs.map(_ -> p) }
+    }
 
     // ---- reassign candidates -------------------------------------------
     // Condition 1 (Eq. 1) and the far-half rule: the split event's
@@ -143,14 +146,14 @@ final class DistRebalancer(idx: DistIndex) {
     val cand1 = splits.toSeq.flatMap { case (pid, sp) =>
       val (p0, p1) = newPids(pid)
       sp.cand0.map(_.copy(pid = p0)) ++ sp.cand1.map(_.copy(pid = p1))
-    }.toDF().withColumnRenamed("pid", "fromPid")
+    }
 
     // Condition 2 (Eq. 2): vectors in the reassign range of each split.
     val neighborToSplits: Map[Long, Seq[Long]] =
       neighborMap.toSeq.flatMap { case (sp, nbrs) => nbrs.map(_ -> sp) }
         .groupMap(_._1)(_._2)
     val cand2 =
-      if (neighborToSplits.isEmpty) spark.emptyDataFrame.select()
+      if (neighborToSplits.isEmpty) Seq.empty
       else {
         val bcNbr = spark.sparkContext.broadcast(neighborToSplits)
         val bcInfo = spark.sparkContext.broadcast(splitInfo)
@@ -169,23 +172,24 @@ final class DistRebalancer(idx: DistIndex) {
           .filter(col("pid").isin(neighborToSplits.keys.toSeq: _*))
           .filter(live(col("vid"), col("version")))
           .filter(cond2Udf(col("pid"), col("vec")))
-          .select(col("vid"), col("pid").as("fromPid"), col("version"), col("vec"))
+          .as[PostingRow].collect().toSeq
       }
-    val candidates = if (neighborToSplits.isEmpty) cand1 else cand1.unionByName(cand2)
 
-    val (reassigned, withMoves) = applyReassigns(candidates, afterSplit)
-    idx.commit(withMoves)
+    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, oversized.toSet, written)
+    idx.commit(relabeled.unionByName(moves.toDF()), TableEdit(
+      written = written.map(_._2) ++ moves.map(_.pid), staled = staled,
+      dropped = splits.map(_._1).toSet, rewritten = gcOnly.toSet))
     splitOut.unpersist()
-    RebalanceStats(splits = splits.length, gcOnlySplits = gcOnlyCount) + reassigned
+    RebalanceStats(splits = splits.length, gcOnlySplits = gcOnly.length) + reassigned
   }
 
   /** One merge round over every posting whose live size is under the
     * threshold (§3.2 Merge).
     */
-  private def mergeRound(sizes: Map[Long, (Long, Long)]): RebalanceStats = {
+  private def mergeRound(): RebalanceStats = {
     // A posting can be all-stale (size 0 after reassigns): still merge it away.
     val undersized = idx.centroids.all.map(_._1)
-      .filter(p => Lire.needsMerge(sizes.get(p).fold(0L)(_._2).toInt, cfg)).toSeq.sorted
+      .filter(p => Lire.needsMerge(idx.table.get(p).fold(0L)(_.live).toInt, cfg)).toSeq.sorted
     if (undersized.isEmpty || idx.centroids.size < 2) return RebalanceStats()
 
     // Plan merges on the driver: each undersized posting leaves the centroid
@@ -204,81 +208,80 @@ final class DistRebalancer(idx: DistIndex) {
     }
     if (plan.isEmpty) return RebalanceStats()
 
-    val live = idx.liveUdf
-    val bcPlan = spark.sparkContext.broadcast(plan.toMap)
-    val mergedPids = plan.keys.toSeq
-    val relabelUdf = udf { (pid: Long) => bcPlan.value.getOrElse(pid, pid) }
-
     // The deleted posting's live rows are appended to the target (§3.2);
-    // its stale rows are GC'd by the rewrite.
+    // its stale rows are hidden with it.
     val movedIn = idx.postings
-      .filter(col("pid").isin(mergedPids: _*))
-      .filter(live(col("vid"), col("version")))
-      .select(col("vid"), relabelUdf(col("pid")).as("pid"), col("version"), col("vec"))
-      .persist()
-    val kept = idx.postings.filter(!col("pid").isin(mergedPids: _*))
-      .select(col("vid"), col("pid"), col("version"), col("vec"))
-    val afterMerge = kept.unionByName(movedIn)
+      .filter(col("pid").isin(plan.keys.toSeq: _*))
+      .filter(idx.liveUdf(col("vid"), col("version")))
+      .as[PostingRow].collect().toSeq
+      .map(r => r.copy(pid = plan(r.pid)))
 
     // §3.3: vectors from the deleted posting all need a reassign check.
-    val candidates = movedIn.select(col("vid"), col("pid").as("fromPid"), col("version"), col("vec"))
-    val (reassigned, withMoves) = applyReassigns(candidates, afterMerge)
-    idx.commit(withMoves)
-    movedIn.unpersist()
+    val (reassigned, moves, staled) = applyReassigns(movedIn, plan.keySet.toSet, movedIn.map(r => r.vid -> r.pid))
+    val rows = movedIn ++ moves
+    idx.commit(rows.toDF(), TableEdit(written = rows.map(_.pid), staled = staled, dropped = plan.keySet.toSet))
     RebalanceStats(merges = plan.size) + reassigned
   }
 
   /** Final NPA check + execution for reassign candidates (§3.3), on the
-    * driver like the paper's Local Rebuilder: one Spark action collects the
-    * candidate rows, and each distinct vid gets the engine's verdict
-    * ([[repro.centroid.CentroidIndex.reassignTarget]]) against the *updated*
-    * centroid set. The verdict needs to know whether the vid's nearest
-    * posting already holds a live replica; for the candidates that would
-    * move without one, a second action looks their `(vid, pid)` rows up in
-    * `base`, and none runs when no candidate would move. A move CAS-bumps
-    * the vid's version (§4.2.2; losers abort silently) and appends
-    * fresh-version rows through the closure rule (boundary replicas
-    * preserved). Old replicas everywhere become stale via the version map —
-    * no in-place deletes, exactly the paper's replica story.
+    * driver like the paper's Local Rebuilder: each distinct vid among the
+    * candidate rows gets the engine's verdict
+    * ([[repro.centroid.CentroidIndex.reassignTarget]]) against the
+    * *updated* centroid set. The verdict needs to know whether the vid's
+    * nearest posting already holds a live replica: for the candidates that
+    * would move without one, one action reads every lake row of their vids,
+    * and none runs when no candidate would move. Those rows, outside the
+    * postings the commit hides and with the rows it writes added, also
+    * give the live rows a move leaves stale. A move CAS-bumps the vid's
+    * version (§4.2.2; losers abort silently) and appends fresh-version rows
+    * through the closure rule (boundary replicas preserved). Old replicas
+    * everywhere become stale via the version map — no in-place deletes,
+    * exactly the paper's replica story.
     *
-    * @param candidates rows (vid, fromPid, version, vec)
-    * @return the checked and moved counts, and `base` with the moves appended
+    * @param candidates rows homed in the posting they are checked from
+    * @param hidden     postings whose lake rows the commit hides
+    * @param written    (vid, pid) of every row the commit writes, each live
+    * @return the checked and moved counts, the moves' rows, and the posting
+    *         of every visible row a move left stale
     */
-  private def applyReassigns(candidates: DataFrame, base: DataFrame): (RebalanceStats, DataFrame) = {
+  private def applyReassigns(
+      candidates: Seq[PostingRow],
+      hidden: Set[Long],
+      written: Seq[(Long, Long)],
+  ): (RebalanceStats, Seq[PostingRow], Seq[Long]) = {
     import Ordering.Double.TotalOrdering
-    val rows = candidates.select(col("vid"), col("fromPid"), col("version"), col("vec")).collect()
-      .map { r =>
-        val v = r.getSeq[Float](3).toArray
-        val homeD = idx.centroids.get(r.getLong(1)).fold(Double.MaxValue)(VectorMath.sqDist(v, _))
-        (r.getLong(0), r.getLong(1), r.getInt(2), v, homeD)
-      }
     // A vid may be a candidate from several postings (replicas): check the
     // one closest to its current home — the primary — ties to the lower pid.
-    val primaries = rows.groupBy(_._1).values.map(_.minBy(c => (c._5, c._2))).toSeq
-    def verdict(c: (Long, Long, Int, Array[Float], Double), held: Long => Iterator[Int]) =
-      idx.centroids.reassignTarget(c._4, c._1, c._2, idx.versions, held)
-    // The would-be moves, before membership is known: their targets are the
-    // only postings whose rows the verdict needs.
-    val wouldMove = primaries.flatMap(c => verdict(c, _ => Iterator.empty).map(c -> _))
-    val held: Map[(Long, Long), Array[Int]] =
+    def homeD(c: PostingRow) = idx.centroids.get(c.pid).fold(Double.MaxValue)(VectorMath.sqDist(c.vec, _))
+    val primaries = candidates.groupBy(_.vid).values.map(_.minBy(c => (homeD(c), c.pid))).toSeq
+    def verdict(c: PostingRow, held: Long => Iterator[Int]) =
+      idx.centroids.reassignTarget(c.vec, c.vid, c.pid, idx.versions, held)
+    // The would-be moves, before membership is known.
+    val wouldMove = primaries.filter(verdict(_, _ => Iterator.empty).isDefined)
+    // (pid, version) of every row each would-be mover has once the commit
+    // lands; the commit's own rows are live, so at the vid's version now.
+    val rowsOf: Map[Long, Seq[(Long, Int)]] =
       if (wouldMove.isEmpty) Map.empty
-      else base
-        .filter(col("pid").isin(wouldMove.map(_._2).distinct: _*) &&
-          col("vid").isin(wouldMove.map(_._1._1): _*))
-        .select(col("vid"), col("pid"), col("version")).collect()
-        .groupMap(r => (r.getLong(0), r.getLong(1)))(_.getInt(2))
-    val movedRows = wouldMove.flatMap { case (c @ (vid, _, version, v, _), _) =>
-      verdict(c, pid => held.get((vid, pid)).fold(Iterator.empty[Int])(_.iterator))
-        .flatMap(_ => idx.versions.tryBumpVersion(vid, version)).toSeq
-        .flatMap { newVer =>
-          Lire.closure(idx.centroids.nearest(v, cfg.maxReplicas), cfg.replicaEpsilon)
-            .map(pid => PostingRow(vid, pid, newVer, v))
+      else {
+        val movers = wouldMove.map(_.vid).toSet
+        val lake = idx.postings.filter(col("vid").isin(movers.toSeq: _*))
+          .select(col("vid"), col("pid"), col("version")).collect()
+          .collect { case r if !hidden(r.getLong(1)) => r.getLong(0) -> ((r.getLong(1), r.getInt(2))) }
+        val fresh = written.collect { case (vid, pid) if movers(vid) =>
+          vid -> ((pid, idx.versions.currentVersion(vid)))
+        }
+        (lake.toSeq ++ fresh).groupMap(_._1)(_._2)
+      }
+    val moves = wouldMove.flatMap { c =>
+      val held = rowsOf.getOrElse(c.vid, Nil)
+      verdict(c, pid => held.iterator.collect { case (`pid`, version) => version })
+        .flatMap(_ => idx.versions.tryBumpVersion(c.vid, c.version))
+        .map { newVer =>
+          (idx.closure(c.vec).map(pid => PostingRow(c.vid, pid, newVer, c.vec)),
+            held.collect { case (pid, version) if version == c.version => pid })
         }
     }
-    import spark.implicits._
-    val out =
-      if (movedRows.isEmpty) base
-      else base.unionByName(movedRows.toDF().select(col("vid"), col("pid"), col("version"), col("vec")))
-    (RebalanceStats(reassignChecked = primaries.size, reassignMoved = movedRows.map(_.vid).distinct.size), out)
+    (RebalanceStats(reassignChecked = primaries.size, reassignMoved = moves.size),
+      moves.flatMap(_._1), moves.flatMap(_._2))
   }
 }

@@ -30,6 +30,19 @@ class VersionMapSpec extends SparkSpec {
     assert(m.isStale(1L, 2))
   }
 
+  test("modCount moves on every state change and on nothing else") {
+    val m = new VersionMap
+    def moved(f: => Any): Boolean = { val before = m.modCount; f; m.modCount != before }
+    assert(moved(m.register(1L)))
+    assert(moved(m.register(1L)), "re-registering bumps the version")
+    assert(!moved(m.tryBumpVersion(1L, 0)), "a failed CAS changes nothing")
+    assert(moved(m.tryBumpVersion(1L, 1)))
+    assert(moved(m.markDeleted(1L)))
+    assert(!moved(m.markDeleted(1L)), "a second tombstone changes nothing")
+    assert(!moved(m.isStale(1L, 2)))
+    assert(moved(m.restore(m.snapshot())))
+  }
+
   test("unknown vector is reported deleted and version -1") {
     val m = new VersionMap
     assert(m.isDeleted(42L))

@@ -36,6 +36,67 @@ class DistIndexSpec extends SparkSpec {
     assert(postings.schema.fieldNames.toSeq == Seq("vid", "pid", "version", "vec"))
   }
 
+  test("past the listing threshold a commit compacts, so reading the lake still launches no job") {
+    val (idx, _) = fresh(100)
+    val threshold = spark.conf.get("spark.sql.sources.parallelPartitionDiscovery.threshold").toInt
+    val ins = VectorGen.draw(mix(), threshold + 2, 10000, seed = 5)
+    var compactions = 0
+    ins.foreach { v =>
+      val before = idx.files.size
+      idx.insertBatch(VectorGen.toDf(spark, Seq(v)))
+      assert(idx.files.size <= threshold)
+      if (idx.files.size < before) compactions += 1
+    }
+    assert(compactions > 0, "the lake never reached the listing threshold")
+    val (postings, jobs) = countJobs(idx.postings)
+    assert(jobs == 0)
+    assert(postings.select("vid").distinct().count() == 100 + ins.length)
+    LakeChecks.tableMatchesScan(idx, "after compaction")
+    LakeChecks.noUnreferencedFiles(idx)
+  }
+
+  test("an insertBatch adds one data file, holding exactly the inserted rows") {
+    import org.apache.spark.sql.functions.col
+    val (idx, _) = fresh(200)
+    val before = idx.files
+    val ins = VectorGen.draw(mix(), 30, 10000, seed = 5)
+    idx.insertBatch(VectorGen.toDf(spark, ins))
+    val added = idx.files.diff(before)
+    assert(added.size == 1 && idx.files.size == before.size + 1)
+    def triples(df: org.apache.spark.sql.DataFrame) = df.select("vid", "pid", "version").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).toSeq.sorted
+    val inFile = triples(spark.read.parquet(s"${idx.rootDir}/data/${added.head}"))
+    assert(inFile == triples(idx.postings.filter(col("vid") >= 10000)))
+    assert(inFile.map(_._1).distinct == ins.map(_.id).sorted)
+  }
+
+  test("the posting table equals a lake scan after build, insert, delete and re-insert") {
+    val (idx, base) = fresh(200)
+    LakeChecks.tableMatchesScan(idx, "after build")
+    idx.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 60, 10000, seed = 5)))
+    LakeChecks.tableMatchesScan(idx, "after insertBatch")
+    idx.deleteBatch(base.take(20).map(_.id))
+    LakeChecks.tableMatchesScan(idx, "after deleteBatch")
+    // Two deleted ids come back, and one live id is inserted again.
+    val again = (base.take(2) :+ base(50)).map(v => v.copy(vec = v.vec.map(_ + 0.5f)))
+    idx.insertBatch(VectorGen.toDf(spark, again))
+    LakeChecks.tableMatchesScan(idx, "after re-inserting known ids")
+    assert(countJobs(idx.rawSizes())._2 > 0, "rawSizes must scan the lake")
+  }
+
+  test("liveUdf is rebuilt only when the version map changed") {
+    import org.apache.spark.sql.functions.col
+    val (idx, base) = fresh(100)
+    val first = idx.liveUdf
+    assert(idx.liveUdf eq first, "two calls with no change in between must share one snapshot")
+    val victim = base.head.id
+    idx.versions.markDeleted(victim)
+    val second = idx.liveUdf
+    assert(!(second eq first))
+    assert(idx.postings.filter(second(col("vid"), col("version")) && col("vid") === victim).count() == 0)
+    assert(idx.dirtyStates.get(victim).contains((0, true)))
+  }
+
   test("build postings respect the split limit (live sizes)") {
     val (idx, _) = fresh(300)
     assert(idx.rawSizesAndLive().values.forall(_._2 <= cfg.splitLimit))

@@ -52,10 +52,15 @@ class DistRebalancerSpec extends SparkSpec {
   test("an insert storm is rebalanced back under the split limit") {
     val (idx, _) = fresh(200)
     idx.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
+    LakeChecks.tableMatchesScan(idx, "after the storm's insert")
     val stats = new DistRebalancer(idx).run()
     assert(stats.splits > 0)
     assert(idx.rawSizes().values.forall(_ <= cfg.splitLimit),
       s"oversized postings remain: ${idx.rawSizes().values.max}")
+    LakeChecks.tableMatchesScan(idx, "after the storm's rebalance")
+    // The splits hide most of the lake's rows: a commit compacted it.
+    LakeChecks.hiddenWithinVisible(idx)
+    LakeChecks.noUnreferencedFiles(idx)
   }
 
   test("hot-spot inserts converge despite cascades (§3.4)") {
@@ -170,9 +175,11 @@ class DistRebalancerSpec extends SparkSpec {
     val c = mix(11).centers.head
     val near = base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id)
     idx.deleteBatch(near)
+    LakeChecks.tableMatchesScan(idx, "after the mass deletion")
     val stats = new DistRebalancer(idx).run()
     assert(stats.merges > 0, "mass deletion should merge starved postings")
     assert(idx.centroidSnapshot.length < before)
+    LakeChecks.tableMatchesScan(idx, "after the merges")
   }
 
   test("rebalance counts are pinned: insert storm and mass deletion") {
@@ -184,7 +191,7 @@ class DistRebalancerSpec extends SparkSpec {
     val (stormStats, stormJobs) = countJobs(new DistRebalancer(storm).run())
     assert(stormStats == RebalanceStats(rounds = 4, splits = 15,
       gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
-    assert(stormJobs == 24)
+    assert(stormJobs == 16)
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 
@@ -197,33 +204,88 @@ class DistRebalancerSpec extends SparkSpec {
     assert(drained.centroidSnapshot.length == 8)
   }
 
-  test("search recall stays high across update + rebalance epochs") {
-    val (idx, base) = fresh(300, seed = 13)
+  /** Three epochs of shifted updates (10% deletes, 10% inserts from
+    * `pool`, then a rebalance), checking the posting table against the
+    * lake after every step and LIRE's invariants after every rebalance.
+    * Returns the live vectors.
+    */
+  private def shiftedEpochs(idx: DistIndex, base: Seq[VectorGen.Vec],
+                            pool: VectorGen.Mixture, seed: Long): Map[Long, Array[Float]] = {
     var live = base.map(v => (v.id, v.vec)).toMap
     var nextId = 10000L
-    val pool = VectorGen.shifted(mix(13), seed = 14)
     (1 to 3).foreach { ep =>
-      val (dels, ins) = VectorGen.epoch(live.keys.toIndexedSeq.sorted, pool, 0.10, nextId, seed = 17 + ep)
+      val (dels, ins) = VectorGen.epoch(live.keys.toIndexedSeq.sorted, pool, 0.10, nextId, seed = seed + ep)
       idx.deleteBatch(dels)
+      LakeChecks.tableMatchesScan(idx, s"after epoch $ep's deletes")
       idx.insertBatch(VectorGen.toDf(spark, ins))
+      LakeChecks.tableMatchesScan(idx, s"after epoch $ep's inserts")
       dels.foreach(live -= _)
       ins.foreach(v => live += (v.id -> v.vec))
       nextId += ins.length
       new DistRebalancer(idx).run()
+      LakeChecks.tableMatchesScan(idx, s"after epoch $ep's rebalance")
       assertInvariants(idx)
     }
+    live
+  }
+
+  private def searchAll(idx: DistIndex, qs: Seq[Array[Float]]): Seq[(Long, Long, Int)] = {
     import spark.implicits._
-    val qs = VectorGen.queries(pool, 15, seed = 23)
     val queries = qs.zipWithIndex.map { case (q, i) => (i.toLong, q) }.toDF("qid", "qvec")
-    val got = idx.search(queries, k = 10).collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)))
-      .groupBy(_._1).view.mapValues(_.sortBy(_._3).map(_._2).toSeq).toMap
+    idx.search(queries, k = 10).collect().map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).toSeq.sorted
+  }
+
+  test("search recall stays high across update + rebalance epochs") {
+    val (idx, base) = fresh(300, seed = 13)
+    val pool = VectorGen.shifted(mix(13), seed = 14)
+    val live = shiftedEpochs(idx, base, pool, seed = 17)
+    val qs = VectorGen.queries(pool, 15, seed = 23)
+    val got = searchAll(idx, qs).groupBy(_._1).view.mapValues(_.sortBy(_._3).map(_._2)).toMap
     val data = live.toSeq
     val recalls = qs.zipWithIndex.map { case (q, i) =>
       GroundTruth.recall(got.getOrElse(i.toLong, Seq.empty), GroundTruth.topK(q, data, 10))
     }
     val mean = recalls.sum / recalls.length
     assert(mean >= 0.85, s"post-rebalance recall too low: $mean")
+  }
+
+  test("a reopened index gives the search results, posting table and centroids it committed") {
+    val (idx, base) = fresh(300, seed = 19)
+    val pool = VectorGen.shifted(mix(19), seed = 20)
+    shiftedEpochs(idx, base, pool, seed = 21)
+    val reopened = DistIndex.open(spark, idx.rootDir)
+    assert(reopened.table == idx.table)
+    assert(reopened.centroidSnapshot.map { case (p, c) => p -> c.toSeq }.toMap ==
+      idx.centroidSnapshot.map { case (p, c) => p -> c.toSeq }.toMap)
+    assert(reopened.versions.snapshot() == idx.versions.snapshot())
+    assert(reopened.commits == idx.commits && reopened.nextPid == idx.nextPid)
+    val qs = VectorGen.queries(pool, 15, seed = 25)
+    assert(searchAll(reopened, qs) == searchAll(idx, qs))
+  }
+
+  test("open ignores a data file written without its manifest rename") {
+    import org.apache.spark.sql.functions.lit
+    val (idx, base) = fresh(200, seed = 23)
+    idx.deleteBatch(base.take(10).map(_.id))
+    idx.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(23), 40, 10000, seed = 24)))
+    // A commit that crashed after writing its rows and before renaming its
+    // manifest: a data file under the name the next commit uses, with rows
+    // that would be visible, and a half-written manifest temp file.
+    val root = java.nio.file.Paths.get(idx.rootDir)
+    val staged = root.resolve("crashed")
+    idx.postings.withColumn("seq", lit(idx.commits)).coalesce(1).write.parquet(staged.toString)
+    val part = Files.list(staged).filter(_.getFileName.toString.endsWith(".parquet")).findFirst().get
+    Files.move(part, root.resolve("data").resolve(f"${idx.commits}%06d-c-0.parquet"))
+    Files.write(root.resolve(DistIndex.ManifestName + ".tmp"), Array[Byte](1, 2, 3))
+
+    val reopened = DistIndex.open(spark, idx.rootDir)
+    assert(reopened.rawSizesAndLive() == idx.rawSizesAndLive())
+    val qs = VectorGen.queries(mix(23), 10, seed = 25)
+    assert(searchAll(reopened, qs) == searchAll(idx, qs))
+    // The reopened index commits over the debris.
+    reopened.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(23), 40, 20000, seed = 26)))
+    new DistRebalancer(reopened).run()
+    LakeChecks.tableMatchesScan(reopened, "after a commit over a crashed one")
   }
 
   test("rebalancing improves worst-case probe cost under skewed inserts") {
