@@ -113,12 +113,5 @@ final class BruteForceCentroidIndex extends CentroidIndex {
 
   override def all: Iterator[(Long, Array[Float])] = Array.tabulate(n)(i => (pids(i), vecs(i))).iterator
 
-  /** A copy of the live (pids, centroids) dense arrays, the form
-    * [[VectorMath.nearestK]] scans: what the Spark lake broadcasts to the
-    * UDFs that select nearest postings.
-    */
-  def arrays: (Array[Long], Array[Array[Float]]) =
-    (java.util.Arrays.copyOf(pids, n), java.util.Arrays.copyOf(vecs, n))
-
   override def distanceComputations: Long = distComps
 }

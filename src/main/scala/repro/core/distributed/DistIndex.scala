@@ -12,12 +12,12 @@ import org.apache.spark.sql.types.{IntegerType, StructType}
 
 import repro.centroid.BruteForceCentroidIndex
 import repro.cluster.HierarchicalBuild
-import repro.core.{Lire, LireConfig, VectorMath, VersionMap}
+import repro.core.{Lire, LireConfig, PostingRecord, PostingScan, VectorMath, VersionMap}
 
 /** One on-lake posting tuple — the Parquet mirror of the Block Controller's
   * `<vector id, version, raw vector>` record (§4.3).
   */
-final case class PostingRow(vid: Long, pid: Long, version: Int, vec: Array[Float])
+final case class PostingRow(vid: Long, pid: Long, version: Int, vec: Array[Float]) extends PostingRecord
 
 object PostingRow {
   val schema: StructType = Encoders.product[PostingRow].schema
@@ -48,6 +48,12 @@ private[distributed] final case class TableEdit(
     rewritten: Set[Long] = Set.empty,
 )
 
+/** The version map as queries see it, as of change count `mods`: its dirty
+  * states, the liveness test over their broadcast, and that test as a UDF.
+  */
+private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)],
+                                  isLive: (Long, Int) => Boolean, udf: UserDefinedFunction)
+
 /** The distributed SPFresh index: LIRE over a data lake.
   *
   * This is the calibration hint's target form — "a distributed ANN index
@@ -75,8 +81,9 @@ private[distributed] final case class TableEdit(
   *    dataflow form of the paper's online updates, see DESIGN.md);
   *  - Local Rebuilder → [[DistRebalancer]], whose split/merge/reassign
   *    rounds are Catalyst jobs;
-  *  - Searcher → [[search]], a broadcast-probe / join / window top-k
-  *    pipeline.
+  *  - Searcher → [[search]]: the driver probes the centroid index, and one
+  *    Spark action scans the probed postings with the single-node engine's
+  *    [[PostingScan.scan]] into bounded top-k accumulators.
   *
   * Stale replicas behave as on SSD: superseded versions stay in the lake
   * until the next split of their posting garbage-collects them; queries
@@ -108,7 +115,7 @@ final class DistIndex private[distributed] (
   private[distributed] var files: Vector[String] = Vector.empty
   private var fileRows: Long = 0L
   private var visibleUdf: UserDefinedFunction = _
-  private var liveCache: (Long, Map[Long, (Int, Boolean)], UserDefinedFunction) = (-1L, null, null)
+  private var liveCache = LiveView(-1L, null, null, null)
 
   private def dataDir: Path = Paths.get(rootDir, "data")
   /** Where Spark writes a commit's files before they move to [[dataDir]]. */
@@ -261,21 +268,23 @@ final class DistIndex private[distributed] (
   private[distributed] def closure(v: Array[Float]): Seq[Long] =
     Lire.closure(centroids.nearest(v, cfg.maxReplicas), cfg.replicaEpsilon)
 
-  /** The version map's dirty states and the live-row UDF over their
-    * broadcast, rebuilt only when the version map has changed.
+  /** The version map's dirty states and the one liveness test over their
+    * broadcast, rebuilt only when the version map has changed: a stored
+    * row is live iff not tombstoned and its on-lake version matches the
+    * in-memory one (§4.1 staleness rule).
     */
-  private def liveView: (Long, Map[Long, (Int, Boolean)], UserDefinedFunction) = {
+  private def liveView: LiveView = {
     val mods = versions.modCount
-    if (liveCache._1 != mods) {
+    if (liveCache.mods != mods) {
       val dirty = versions.snapshot().filter { case (_, (v, d)) => v > 0 || d }
       val bc = spark.sparkContext.broadcast(dirty)
-      liveCache = (mods, dirty, udf { (vid: Long, version: Int) =>
+      val isLive: (Long, Int) => Boolean = (vid, version) =>
         bc.value.get(vid) match {
           case None                 => version == 0
           case Some((_, true))      => false
           case Some((cur, false))   => version == cur
         }
-      })
+      liveCache = LiveView(mods, dirty, isLive, udf(isLive))
     }
     liveCache
   }
@@ -283,12 +292,10 @@ final class DistIndex private[distributed] (
   /** Vector states that differ from the freshly-inserted default — the only
     * part of the version map queries need (kept small for broadcast).
     */
-  def dirtyStates: Map[Long, (Int, Boolean)] = liveView._2
+  def dirtyStates: Map[Long, (Int, Boolean)] = liveView.dirty
 
-  /** UDF: a stored row is live iff not tombstoned and its on-lake version
-    * matches the in-memory one (§4.1 staleness rule).
-    */
-  def liveUdf: UserDefinedFunction = liveView._3
+  /** UDF of the lake's liveness test (§4.1 staleness rule). */
+  def liveUdf: UserDefinedFunction = liveView.udf
 
   /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
     * scan of the lake: the ground truth the posting table must equal.
@@ -357,33 +364,50 @@ final class DistIndex private[distributed] (
 
   // --------------------------------------------------------------- searcher
 
-  /** Distributed search: for each query, probe the nearest `probes`
-    * postings, scan them, drop stale/tombstoned rows, dedupe replicas, and
-    * keep the k nearest — entirely in Catalyst (explode → join → groupBy →
-    * window).
+  /** Distributed search, the Searcher of §4.1: the driver probes each
+    * query's `probes` nearest postings in the centroid index, and one Spark
+    * action reads the probed postings. Each partition groups its rows by
+    * posting and runs [[PostingScan.scan]] (stale-replica filter, replica
+    * dedupe, bounded top-k) for every query that probes the posting, then
+    * emits at most k rows per query; the driver merges them into each
+    * query's k nearest, ties going to the lower vid.
+    *
+    * The merge is exact without a shuffle: the row at a vid's smallest
+    * distance sits in some partition, and that partition's top-k for the
+    * query holds the vid whenever the global top-k does.
     *
     * @param queries DataFrame (qid BIGINT, qvec ARRAY<FLOAT>)
     * @return DataFrame (qid, vid, rank) with rank 1..k ascending distance
     */
   def search(queries: DataFrame, k: Int, probes: Int = -1): DataFrame = {
     val nProbes = if (probes > 0) probes else cfg.searchProbes
-    val bc = spark.sparkContext.broadcast(centroids.arrays)
-    val probeUdf = udf { (qvec: Seq[Float]) =>
-      val (pids, vecs) = bc.value
-      VectorMath.nearestK(qvec.toArray, pids, vecs, pids.length, nProbes).ids
+    val qs = queries.select("qid", "qvec").collect().map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
+    // pid -> indices of the queries that probe it
+    val byPid = if (k <= 0) Map.empty[Long, Seq[Int]]
+      else qs.indices.flatMap(i => centroids.nearest(qs(i)._2, nProbes).map(_._1 -> i)).groupMap(_._1)(_._2)
+    val top = Array.fill(qs.length)(new VectorMath.TopK(math.max(0, k)))
+    if (byPid.nonEmpty) {
+      val qvecs = qs.map(_._2)
+      val live = liveView.isLive
+      postings.filter(col("pid").isin(byPid.keys.toSeq: _*)).as[PostingRow]
+        .mapPartitions { rows =>
+          val posting = mutable.LongMap.empty[mutable.ArrayBuffer[PostingRow]]
+          rows.foreach(r => posting.getOrElseUpdate(r.pid, mutable.ArrayBuffer.empty) += r)
+          val part = new Array[VectorMath.TopK](qvecs.length)
+          posting.foreach { case (pid, recs) =>
+            byPid(pid).foreach { i =>
+              if (part(i) == null) part(i) = new VectorMath.TopK(k)
+              PostingScan.scan(qvecs(i), recs.iterator, live, part(i))
+            }
+          }
+          part.indices.iterator.filter(part(_) != null)
+            .flatMap(i => part(i).result.iterator.map { case (vid, d) => (i, vid, d) })
+        }
+        .collect()
+        .foreach { case (i, vid, d) => top(i).offerMin(vid, d) }
     }
-    val probed = queries
-      .withColumn("pid", explode(probeUdf(col("qvec"))))
-    val w = org.apache.spark.sql.expressions.Window
-      .partitionBy("qid").orderBy(col("d").asc, col("vid").asc)
-    probed
-      .join(postings, Seq("pid"))
-      .filter(liveUdf(col("vid"), col("version")))
-      .withColumn("dRaw", DistIndex.sqDistUdf(col("qvec"), col("vec")))
-      .groupBy(col("qid"), col("vid")).agg(min(col("dRaw")).as("d")) // replica dedupe
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") <= k)
-      .select(col("qid"), col("vid"), col("rank"))
+    qs.indices.flatMap(i => top(i).ids.zipWithIndex.map { case (vid, r) => (qs(i)._1, vid, r + 1) })
+      .toDF("qid", "vid", "rank")
   }
 
   /** Records packed per simulated block, scaled so that a posting at the
@@ -420,13 +444,6 @@ final class DistIndex private[distributed] (
 }
 
 object DistIndex {
-
-  /** UDF: [[VectorMath.sqDist]] over two array columns, the one distance
-    * the lake's search and [[repro.data.GroundTruth.topKDf]] compute. Its
-    * double arithmetic matches the SQL oracles of the tests bit for bit.
-    */
-  val sqDistUdf: UserDefinedFunction =
-    udf((a: Seq[Float], b: Seq[Float]) => VectorMath.sqDist(a.toArray, b.toArray))
 
   /** The manifest's file name under `rootDir`. */
   private[distributed] val ManifestName = "_manifest"

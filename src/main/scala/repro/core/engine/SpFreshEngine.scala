@@ -5,7 +5,7 @@ import scala.collection.mutable
 
 import repro.centroid.{BruteForceCentroidIndex, CentroidIndex}
 import repro.cluster.{HierarchicalBuild, PostingSplit}
-import repro.core.{Lire, LireConfig, VectorMath, VersionMap}
+import repro.core.{Lire, LireConfig, PostingScan, VectorMath, VersionMap}
 import repro.storage.{BlockController, IoDelta, VectorRecord}
 
 /** Counters the benches report; they map to the paper's §5.2 observations
@@ -77,6 +77,8 @@ final class SpFreshEngine(
   private val pendingReassigns = mutable.Set.empty[(Long, Int)]
   private var nextPid = 0L
   private val rnd = new scala.util.Random(seed)
+  /** The §4.1 staleness rule as the searcher's liveness test. */
+  private val isLive: (Long, Int) => Boolean = (vid, version) => !versions.isStale(vid, version)
 
   /** Queued background jobs awaiting [[drainJobs]]. */
   def pendingJobs: Int = jobs.size
@@ -177,9 +179,10 @@ final class SpFreshEngine(
     * return the k nearest live ids. Undersized postings spotted along the
     * way get merge jobs (§4.1: "a merge job is triggered by the Searcher").
     *
-    * Each probed posting is scanned once: one staleness lookup per record
-    * both counts the posting's live length for the merge trigger and admits
-    * the record to a bounded top-k that keeps each id's smallest distance.
+    * Each probed posting is scanned once by [[PostingScan.scan]]: one
+    * staleness lookup per record both counts the posting's live length for
+    * the merge trigger and admits the record to a bounded top-k that keeps
+    * each id's smallest distance.
     *
     * `blockBudget` enforces the paper's hard latency cut (§5.1: "the system
     * finishes the result immediately and returns the current search
@@ -198,15 +201,7 @@ final class SpFreshEngine(
       cand.foreach { case (pid, _) =>
         if (blocksUsed < blockBudget) {
           blocksUsed += store.blockCount(pid)
-          var live = 0
-          val it = store.get(pid).iterator
-          while (it.hasNext) {
-            val r = it.next()
-            if (!versions.isStale(r.vid, r.version)) {
-              live += 1
-              top.offerMin(r.vid, VectorMath.sqDist(q, r.vec))
-            }
-          }
+          val live = PostingScan.scan(q, store.get(pid).iterator, isLive, top)
           if (rebalanceEnabled && Lire.needsMerge(live, cfg) && centroids.size > 1 &&
               centroids.get(pid).isDefined)
             enqueueMerge(pid)

@@ -1,17 +1,9 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-
 import repro.core.VectorMath
-import repro.core.distributed.DistIndex.sqDistUdf
 
-/** Exact K-nearest-neighbor ground truth, used to score RecallK@K (§2.1).
-  *
-  * Two forms: a fast local brute-force scan (bench inner loop) and a Spark
-  * crossJoin+window pipeline (oracle-checkable and used by the distributed
-  * stress bench).
+/** Exact K-nearest-neighbor ground truth, used to score RecallK@K (§2.1):
+  * a local brute-force scan and the recall math.
   */
 object GroundTruth {
 
@@ -30,19 +22,5 @@ object GroundTruth {
     require(results.length == truths.length, "result/truth batch size mismatch")
     if (results.isEmpty) 1.0
     else results.lazyZip(truths).map(recall).sum / results.length
-  }
-
-  /** Distributed exact KNN: for each row of `queries` (qid, qvec) return the
-    * `k` nearest rows of `data` (id, vec) as (qid, id, rank). Pure Catalyst:
-    * crossJoin → distance → window row_number.
-    */
-  def topKDf(spark: SparkSession, queries: DataFrame, data: DataFrame, k: Int): DataFrame = {
-    val w = Window.partitionBy("qid").orderBy(col("d").asc, col("id").asc)
-    queries
-      .crossJoin(data)
-      .withColumn("d", sqDistUdf(col("qvec"), col("vec")))
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") <= k)
-      .select(col("qid"), col("id"), col("rank"))
   }
 }

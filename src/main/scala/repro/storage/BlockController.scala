@@ -2,10 +2,12 @@ package repro.storage
 
 import scala.collection.mutable
 
+import repro.core.PostingRecord
+
 /** One on-disk vector tuple: `<vector id, version number, raw vector>`
   * (§4.3 storage data layout).
   */
-final case class VectorRecord(vid: Long, version: Int, vec: Array[Float])
+final case class VectorRecord(vid: Long, version: Int, vec: Array[Float]) extends PostingRecord
 
 /** Simulated raw-block SSD storage engine — the paper's Block Controller
   * (§4.3) minus the physical NVMe device.

@@ -9,11 +9,10 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). `autoBroadcastJoinThreshold = -1` turns off Spark's automatic
-  * broadcast joins: no DataFrame join in the suites (the probe-to-posting
-  * join of `DistIndex.search`, the cross join of `GroundTruth.topKDf`) is
-  * planned as a broadcast join, whatever the table sizes. The lake's
-  * centroids and version map reach executors as explicit broadcast
-  * variables, which the setting does not touch.
+  * broadcast joins, so a DataFrame join a test adds is planned the same
+  * whatever its table sizes (the repository's own code runs none). The
+  * lake's version map and posting generations reach executors as explicit
+  * broadcast variables, which the setting does not touch.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -2,22 +2,19 @@ package repro.baseline
 
 import repro.SparkSpec
 import repro.core.LireConfig
+import repro.core.engine.SpFreshEngine
 import repro.data.{GroundTruth, VectorGen}
 
-/** SPANN+ baseline (§5.1): append-only behavior and the degradation the
-  * paper attributes to it (Figure 2's tail-latency blow-up).
+/** SPANN+ baseline (§5.1): an [[SpFreshEngine]] with rebalancing disabled
+  * — its append-only behavior and the degradation the paper attributes to
+  * it (Figure 2's tail-latency blow-up).
   */
 class SpannPlusSpec extends SparkSpec {
   private val dim = 8
   private val cfg = LireConfig(splitLimit = 32, mergeThreshold = 4, searchProbes = 8)
 
-  test("factory builds an engine with rebalance disabled") {
-    val e = SpannPlus(dim, cfg)
-    assert(!e.rebalanceEnabled)
-  }
-
   test("append-only updates grow postings past the split limit") {
-    val e = SpannPlus(dim, cfg)
+    val e = new SpFreshEngine(dim, cfg, rebalanceEnabled = false)
     val mix = VectorGen.mixture(dim, 4, seed = 1)
     e.buildInitial(VectorGen.draw(mix, 200, 0, seed = 2).map(v => (v.id, v.vec)))
     val hot = VectorGen.Mixture(IndexedSeq(mix.centers.head), IndexedSeq(1.0), 2.0)
@@ -33,12 +30,12 @@ class SpannPlusSpec extends SparkSpec {
     val hot = VectorGen.Mixture(IndexedSeq(mix.centers.head), IndexedSeq(1.0), 2.0)
     val updates = VectorGen.draw(hot, 600, 1000, seed = 7)
 
-    val plus = SpannPlus(dim, cfg, seed = 1)
+    val plus = new SpFreshEngine(dim, cfg, rebalanceEnabled = false, seed = 1)
     plus.buildInitial(base)
     updates.foreach(v => plus.insert(v.id, v.vec))
     plus.drainJobs()
 
-    val fresh = new repro.core.engine.SpFreshEngine(dim, cfg, seed = 1)
+    val fresh = new SpFreshEngine(dim, cfg, seed = 1)
     fresh.buildInitial(base)
     updates.foreach(v => fresh.insert(v.id, v.vec))
     fresh.drainJobs()
@@ -49,7 +46,7 @@ class SpannPlusSpec extends SparkSpec {
   }
 
   test("search still works (recall is paid in latency, not correctness, early on)") {
-    val e = SpannPlus(dim, cfg)
+    val e = new SpFreshEngine(dim, cfg, rebalanceEnabled = false)
     val mix = VectorGen.mixture(dim, 4, seed = 9)
     val base = VectorGen.draw(mix, 300, 0, seed = 10)
     e.buildInitial(base.map(v => (v.id, v.vec)))
@@ -60,7 +57,7 @@ class SpannPlusSpec extends SparkSpec {
   }
 
   test("deletes leave tombstones that are never physically GCed (no splits)") {
-    val e = SpannPlus(dim, cfg)
+    val e = new SpFreshEngine(dim, cfg, rebalanceEnabled = false)
     val mix = VectorGen.mixture(dim, 4, seed = 13)
     val base = VectorGen.draw(mix, 200, 0, seed = 14)
     e.buildInitial(base.map(v => (v.id, v.vec)))

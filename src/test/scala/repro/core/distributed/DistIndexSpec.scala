@@ -6,8 +6,9 @@ import repro.{Oracle, SparkSpec}
 import repro.core.{LireConfig, VectorMath}
 import repro.data.{GroundTruth, VectorGen}
 
-/** Distributed index: build, batch updates, the Catalyst search pipeline,
-  * and DuckDB oracle equivalence of exhaustive search.
+/** Distributed index: build, batch updates, the search (a driver-side
+  * probe and one Spark scan of the probed postings), and DuckDB oracle
+  * equivalence of exhaustive search.
   */
 class DistIndexSpec extends SparkSpec {
   private val dim = 4
@@ -188,6 +189,78 @@ class DistIndexSpec extends SparkSpec {
          |  FROM queries q CROSS JOIN data d) t
          |WHERE rank <= 5""".stripMargin
     Oracle.assertEquivalent(sparkOut, sql, "data" -> dataFlat, "queries" -> qFlat)
+  }
+
+  /** A hand-made 2-D lake committed in two files, so that one posting's
+    * rows span two partitions. Posting 0 (centroid (0, 0)), 1 ((10, 0)),
+    * 2 ((0, 10)) and 3 ((100, 100)). Vid 1 is live in postings 0 and 1;
+    * vid 2 is live at version 1 in posting 1 at (8, 0), with a stale
+    * version-0 replica at (4, 0) in posting 0; vid 3 is tombstoned; vids 4
+    * and 5 lie at equal distance from (4, 0); vid 6, the vector nearest to
+    * (4, 0), sits in posting 2.
+    */
+  private def handMadeLake(): DistIndex = {
+    import spark.implicits._
+    val idx = new DistIndex(spark, Files.createTempDirectory("searchlake").toString, 2, cfg)
+    Seq(Array(0f, 0f), Array(10f, 0f), Array(0f, 10f), Array(100f, 100f))
+      .foreach(c => idx.centroids.insert(idx.freshPid(), c))
+    (1L to 9L).foreach(idx.versions.register)
+    idx.versions.register(2L) // re-inserted: its version-0 rows are stale
+    idx.versions.markDeleted(3L)
+    idx.commit(Seq(
+      PostingRow(1, 0, 0, Array(5f, 0f)), PostingRow(2, 0, 0, Array(4f, 0f)),
+      PostingRow(3, 0, 0, Array(4.5f, 0f)), PostingRow(5, 0, 0, Array(5f, 1f)),
+      PostingRow(7, 0, 0, Array(0f, 0f)), PostingRow(8, 2, 0, Array(0f, 9f)),
+    ).toDF())
+    idx.commit(Seq(
+      PostingRow(1, 1, 0, Array(5f, 0f)), PostingRow(2, 1, 1, Array(8f, 0f)),
+      PostingRow(4, 1, 0, Array(3f, 1f)), PostingRow(6, 2, 0, Array(4f, 0.5f)),
+      PostingRow(9, 3, 0, Array(100f, 100f)),
+    ).toDF())
+    idx
+  }
+
+  test("search equals a driver-side scan of the probed postings") {
+    import spark.implicits._
+    val idx = handMadeLake()
+    assert(idx.files.size == 2)
+    val rows = idx.postings.collect().map(r =>
+      (r.getLong(1), r.getLong(0), r.getInt(2), r.getSeq[Float](3).toArray))
+    val qs = Seq(Array(4f, 0f), Array(0f, 9f), Array(6f, 0.5f))
+    val queries = qs.zipWithIndex.map { case (q, i) => (i.toLong, q) }.toDF("qid", "qvec")
+    def expected(q: Array[Float], k: Int, probes: Int): Seq[Long] = {
+      val probed = idx.nearestPids(q, probes).toSet
+      val top = new VectorMath.TopK(k)
+      rows.foreach { case (pid, vid, version, vec) =>
+        if (probed(pid) && !idx.versions.isStale(vid, version)) top.offerMin(vid, VectorMath.sqDist(q, vec))
+      }
+      top.ids.toSeq
+    }
+    for (probes <- Seq(1, 2, 3); k <- Seq(0, 3, 10)) {
+      val got = idx.search(queries, k, probes).collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)))
+      assert(got.map(r => (r._1, r._3)).distinct.length == got.length, "one row per (qid, rank)")
+      qs.indices.foreach { i =>
+        val ranked = got.filter(_._1 == i).sortBy(_._3)
+        assert(ranked.map(_._3).toSeq == (1 to ranked.length), s"ranks of query $i")
+        assert(ranked.map(_._2).toSeq == expected(qs(i), k, probes), s"query $i, k $k, probes $probes")
+      }
+    }
+    // Probing postings 0 and 1 from (4, 0): vid 1 once for its two
+    // replicas, vid 2 at its live distance 16 (its stale row is at 0),
+    // vids 4 and 5 tied at 2 in vid order, vid 7 tied with vid 2, and
+    // neither the tombstoned vid 3 nor vid 6 of the unprobed posting 2.
+    assert(expected(qs.head, 10, 2) == Seq(1L, 4L, 5L, 2L, 7L))
+    assert(expected(qs.head, 3, 2) == Seq(1L, 4L, 5L))
+  }
+
+  test("a search launches one Spark job") {
+    val (idx, base) = fresh(200)
+    import spark.implicits._
+    val queries = base.take(20).map(v => (v.id, v.vec)).toDF("qid", "qvec")
+    val (rows, jobs) = countJobs(idx.search(queries, k = 10).collect())
+    assert(rows.length == 20 * 10)
+    assert(jobs == 1)
   }
 
   test("oracle: live posting sizes equal a DuckDB group-by") {

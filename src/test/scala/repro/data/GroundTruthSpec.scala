@@ -1,11 +1,8 @@
 package repro.data
 
-import repro.{Oracle, SparkSpec}
-import repro.core.VectorMath
+import repro.SparkSpec
 
-/** Exact-KNN ground truth: local scan, recall math, the Spark crossJoin
-  * pipeline, and a DuckDB oracle equivalence check of that pipeline.
-  */
+/** Exact-KNN ground truth: the local scan and the recall math. */
 class GroundTruthSpec extends SparkSpec {
 
   test("topK returns the exact nearest ids in order") {
@@ -37,49 +34,5 @@ class GroundTruthSpec extends SparkSpec {
 
   test("meanRecall rejects mismatched batches") {
     intercept[IllegalArgumentException](GroundTruth.meanRecall(Seq(Seq(1L)), Seq.empty))
-  }
-
-  test("topKDf matches the local brute force on random data") {
-    import spark.implicits._
-    val rnd = new scala.util.Random(5)
-    val data = (0L until 200L).map(i => (i, Array.fill(4)(rnd.nextFloat() * 10)))
-    val queries = (0L until 8L).map(q => (q, Array.fill(4)(rnd.nextFloat() * 10)))
-    val gotDf = GroundTruth.topKDf(
-      spark,
-      queries.toDF("qid", "qvec"),
-      data.toDF("id", "vec"),
-      k = 5,
-    )
-    val got = gotDf.collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)))
-      .groupBy(_._1).view.mapValues(_.sortBy(_._3).map(_._2).toSeq).toMap
-    queries.foreach { case (qid, q) =>
-      assert(got(qid) == GroundTruth.topK(q, data, 5), s"query $qid mismatch")
-    }
-  }
-
-  test("oracle: Spark crossJoin KNN pipeline equals DuckDB SQL") {
-    import spark.implicits._
-    val rnd = new scala.util.Random(17)
-    val dim = 4
-    val data = (0L until 60L).map(i => (i, Array.fill(dim)(rnd.nextFloat() * 10)))
-    val queries = (0L until 5L).map(q => (q, Array.fill(dim)(rnd.nextFloat() * 10)))
-    val sparkOut = GroundTruth.topKDf(
-      spark, queries.toDF("qid", "qvec"), data.toDF("id", "vec"), k = 3)
-
-    // Flatten vectors to scalar columns for the SQL oracle.
-    val dataFlat = data.map { case (id, v) => (id, v(0).toDouble, v(1).toDouble, v(2).toDouble, v(3).toDouble) }
-      .toDF("id", "x0", "x1", "x2", "x3")
-    val qFlat = queries.map { case (id, v) => (id, v(0).toDouble, v(1).toDouble, v(2).toDouble, v(3).toDouble) }
-      .toDF("qid", "q0", "q1", "q2", "q3")
-    val sq = (i: Int) => s"(CAST(q.q$i AS DOUBLE)-CAST(d.x$i AS DOUBLE))*(CAST(q.q$i AS DOUBLE)-CAST(d.x$i AS DOUBLE))"
-    val sql =
-      s"""SELECT qid, id, rank FROM (
-         |  SELECT q.qid AS qid, d.id AS id,
-         |    ROW_NUMBER() OVER (PARTITION BY q.qid
-         |      ORDER BY ${sq(0)}+${sq(1)}+${sq(2)}+${sq(3)}, CAST(d.id AS BIGINT)) AS rank
-         |  FROM queries q CROSS JOIN data d) t
-         |WHERE rank <= 3""".stripMargin
-    Oracle.assertEquivalent(sparkOut, sql, "data" -> dataFlat, "queries" -> qFlat)
   }
 }

@@ -2,8 +2,8 @@ package repro.sim
 
 import repro.SparkSpec
 
-/** Fast, tiny-scale checks of the experiment drivers the benches and jobs
-  * share — workload determinism, metric sanity, and the pipeline law.
+/** Fast, tiny-scale checks of the experiment drivers the benches call —
+  * workload determinism, metric sanity, and the pipeline law.
   */
 class SimulationSpec extends SparkSpec {
   private val tiny = SimConfig(dim = 8, baseN = 600, epochs = 2, queriesPerEpoch = 10,
