@@ -1,6 +1,7 @@
 package repro.core.distributed
 
-import java.nio.file.{Files, Path, Paths, StandardCopyOption}
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, Paths, StandardCopyOption, StandardOpenOption}
 
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
@@ -114,7 +115,10 @@ final class DistIndex private[distributed] (
   /** The lake's data files, relative to [[dataDir]]. */
   private[distributed] var files: Vector[String] = Vector.empty
   private var fileRows: Long = 0L
-  private var visibleUdf: UserDefinedFunction = _
+  /** The manifest's data files as Spark reads them, hidden rows included. */
+  private var stored: DataFrame = _
+  /** [[stored]] through the visibility filter: what [[postings]] returns. */
+  private var visible: DataFrame = _
   private var liveCache = LiveView(-1L, null, null, null)
 
   private def dataDir: Path = Paths.get(rootDir, "data")
@@ -126,12 +130,25 @@ final class DistIndex private[distributed] (
   /** The visible rows of the lake, `(vid, pid, version, vec)`: the
     * manifest's data files read with their known schema, so no Spark job
     * infers it from the Parquet footers, and never more files than Spark
-    * lists on the driver.
+    * lists on the driver. The files are read once per commit that changes
+    * them, and the visibility filter rebuilt once per commit.
     */
-  def postings: DataFrame =
-    spark.read.schema(PostingRow.fileSchema).parquet(files.map(dataDir.resolve(_).toString): _*)
-      .filter(visibleUdf(col("pid"), col("seq")))
-      .select(col("vid"), col("pid"), col("version"), col("vec"))
+  def postings: DataFrame = visible
+
+  /** The visible rows whose `column` (`pid` or `vid`) is one of `keys`.
+    * The keys reach the filter through a UDF, so every call generates the
+    * same code and hits Spark's code-generation cache; an `isin` over
+    * literals would compile a new class for every new key list.
+    */
+  private[distributed] def postingsIn(column: String, keys: Iterable[Long]): DataFrame = {
+    val sorted = keys.toArray.sorted
+    val in = udf((k: Long) => java.util.Arrays.binarySearch(sorted, k) >= 0)
+    postings.filter(in(col(column)))
+  }
+
+  /** Read the manifest's data files anew, after they changed. */
+  private def reread(): Unit =
+    stored = spark.read.schema(PostingRow.fileSchema).parquet(files.map(dataDir.resolve(_).toString): _*)
 
   /** Rebuild the visibility filter after the posting table's generations
     * changed: a row is visible iff its pid is in the table and it was
@@ -141,7 +158,20 @@ final class DistIndex private[distributed] (
     val gens = Array.fill(nextPid.toInt)(Int.MaxValue)
     table.foreach { case (pid, m) => gens(pid.toInt) = m.generation }
     val bc = spark.sparkContext.broadcast(gens)
-    visibleUdf = udf((pid: Long, seq: Int) => pid < bc.value.length && seq >= bc.value(pid.toInt))
+    val visibleUdf = udf((pid: Long, seq: Int) => pid < bc.value.length && seq >= bc.value(pid.toInt))
+    visible = stored.filter(visibleUdf(col("pid"), col("seq")))
+      .select(col("vid"), col("pid"), col("version"), col("vec"))
+  }
+
+  /** Run `body` with `label` as the description of the Spark jobs it
+    * launches, then give the caller's description back. The job group
+    * stays the caller's.
+    */
+  private[distributed] def labelled[T](label: String)(body: => T): T = {
+    val sc = spark.sparkContext
+    val caller = sc.getLocalProperty(DistIndex.JobDescription)
+    sc.setJobDescription(label)
+    try body finally sc.setLocalProperty(DistIndex.JobDescription, caller)
   }
 
   /** Commit `rows` (vid, pid, version, vec), each live, as one new data
@@ -151,8 +181,9 @@ final class DistIndex private[distributed] (
   private[distributed] def commit(rows: DataFrame, edit: TableEdit, nFiles: Int = 1): Unit = {
     val seq = commitSeq
     if (edit.written.nonEmpty) {
-      files ++= writeFiles(rows, seq, "c", nFiles)
+      files ++= labelled("lake commit")(writeFiles(rows, seq, "c", nFiles))
       fileRows += edit.written.size
+      reread()
     }
     edit.dropped.foreach(table.remove)
     edit.rewritten.foreach(table(_) = PostingMeta(seq, 0, 0))
@@ -166,24 +197,16 @@ final class DistIndex private[distributed] (
     val visibleRows = table.valuesIterator.map(_.raw).sum
     val compact = fileRows - visibleRows > visibleRows || files.size > listingThreshold
     if (compact) {
-      files = writeFiles(postings, seq, "compact", fanout).toVector
+      files = labelled("lake compact")(writeFiles(postings, seq, "compact", fanout)).toVector
       fileRows = visibleRows
       table.mapValuesInPlace((_, m) => m.copy(generation = seq))
+      reread()
       refresh()
     }
     commitSeq += 1
     Manifest(commitSeq, dim, cfg, nextPid, fileRows, files, centroids.all.toSeq, table.toSeq,
       dirtyStates, pending.toSeq).write(Paths.get(rootDir, DistIndex.ManifestName))
     if (compact) vacuum()
-  }
-
-  /** Commit hand-made rows (vid, pid, version, vec): one scan counts them
-    * into the posting table.
-    */
-  private[distributed] def commit(rows: DataFrame): Unit = {
-    val counted = rows.select(col("pid"), liveUdf(col("vid"), col("version"))).collect()
-    commit(rows, TableEdit(written = counted.map(_.getLong(0)).toSeq,
-      staled = counted.collect { case r if !r.getBoolean(1) => r.getLong(0) }.toSeq))
   }
 
   /** Number of committed index versions so far. */
@@ -201,7 +224,9 @@ final class DistIndex private[distributed] (
   private def fanout: Int = math.max(1, math.min(spark.sparkContext.defaultParallelism, listingThreshold / 2))
 
   /** Write `rows` stamped with commit `seq` into at most `nFiles` Parquet
-    * files under [[dataDir]] and return their names.
+    * files under [[dataDir]] and return their names. The files and then
+    * the directory are forced to the device, so the manifest that lists
+    * them never outlives them in a crash.
     */
   private def writeFiles(rows: DataFrame, seq: Int, tag: String, nFiles: Int): Seq[String] = {
     val staging = stagingDir.resolve(s"$seq-$tag")
@@ -214,8 +239,15 @@ final class DistIndex private[distributed] (
       Files.move(p, dataDir.resolve(name), StandardCopyOption.REPLACE_EXISTING)
       name
     }
+    (names.map(dataDir.resolve) :+ dataDir).foreach(force)
     deleteTree(staging)
     names
+  }
+
+  /** fsync a file or a directory. */
+  private def force(path: Path): Unit = {
+    val ch = FileChannel.open(path, StandardOpenOption.READ)
+    try ch.force(true) finally ch.close()
   }
 
   /** Delete every data file the manifest does not list, and what crashed
@@ -249,6 +281,7 @@ final class DistIndex private[distributed] (
     m.centroids.foreach { case (pid, c) => centroids.insert(pid, c) }
     table ++= m.table
     pending ++= m.pending
+    reread()
     refresh()
     val clean = postings.select("vid").distinct().as[Long].collect().filterNot(m.dirty.contains)
     versions.restore(m.dirty ++ clean.map(_ -> ((0, false))))
@@ -297,36 +330,35 @@ final class DistIndex private[distributed] (
   /** UDF of the lake's liveness test (§4.1 staleness rule). */
   def liveUdf: UserDefinedFunction = liveView.udf
 
-  /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
-    * scan of the lake: the ground truth the posting table must equal.
-    */
-  def rawSizesAndLive(): Map[Long, (Long, Long)] = {
-    val live = liveUdf(col("vid"), col("version"))
-    postings.groupBy("pid").agg(count(lit(1)), sum(live.cast("long")))
-      .collect().map(r => r.getLong(0) -> ((r.getLong(1), r.getLong(2)))).toMap
-  }
-
   /** Raw on-lake record count per posting, from one scan of the lake. */
   def rawSizes(): Map[Long, Long] =
     postings.groupBy("pid").count()
       .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
 
-  /** Take the rows that deletes and re-inserts made stale since the last
-    * call off the posting table's live counts: one filtered action over
-    * the rows of those vids, none when there are none.
+  /** The visible rows `(vid, pid, version)` of `vids`, read in one
+    * filtered action labelled `label` that also settles the posting table:
+    * the rows that deletes and re-inserts made stale since the last settle
+    * come off its live counts. No action runs when there is nothing to
+    * read. A commit that follows may drop or rewrite a settled posting;
+    * either resets its counts.
     */
-  private[distributed] def settle(): Unit = if (pending.nonEmpty) {
-    val pairs = pending.toSet
-    postings.filter(col("vid").isin(pairs.iterator.map(_._1).toSeq.distinct: _*))
-      .select(col("vid"), col("pid"), col("version")).collect()
-      .foreach { r =>
-        if (pairs((r.getLong(0), r.getInt(2)))) {
-          val m = table(r.getLong(1))
-          table(r.getLong(1)) = m.copy(live = m.live - 1)
-        }
-      }
+  private[distributed] def vidRows(vids: Set[Long], label: String): Seq[(Long, Long, Int)] = {
+    val stale = pending.toSet
+    val read = vids ++ stale.iterator.map(_._1)
+    if (read.isEmpty) return Seq.empty
+    val rows = labelled(label)(postingsIn("vid", read).select(col("vid"), col("pid"), col("version")).collect())
+      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)))
+    rows.foreach { case (vid, pid, version) =>
+      if (stale((vid, version))) table(pid) = table(pid).copy(live = table(pid).live - 1)
+    }
     pending.clear()
+    rows.filter(r => vids(r._1)).toSeq
   }
+
+  /** Settle the posting table's live counts (see [[vidRows]]): one
+    * filtered action, none when no row went stale since the last settle.
+    */
+  private[distributed] def settle(): Unit = vidRows(Set.empty, "lake settle")
 
   /** Live vector count. */
   def liveCount: Long = versions.liveIds.size.toLong
@@ -389,7 +421,7 @@ final class DistIndex private[distributed] (
     if (byPid.nonEmpty) {
       val qvecs = qs.map(_._2)
       val live = liveView.isLive
-      postings.filter(col("pid").isin(byPid.keys.toSeq: _*)).as[PostingRow]
+      labelled("lake search")(postingsIn("pid", byPid.keys).as[PostingRow]
         .mapPartitions { rows =>
           val posting = mutable.LongMap.empty[mutable.ArrayBuffer[PostingRow]]
           rows.foreach(r => posting.getOrElseUpdate(r.pid, mutable.ArrayBuffer.empty) += r)
@@ -403,7 +435,7 @@ final class DistIndex private[distributed] (
           part.indices.iterator.filter(part(_) != null)
             .flatMap(i => part(i).result.iterator.map { case (vid, d) => (i, vid, d) })
         }
-        .collect()
+        .collect())
         .foreach { case (i, vid, d) => top(i).offerMin(vid, d) }
     }
     qs.indices.flatMap(i => top(i).ids.zipWithIndex.map { case (vid, r) => (qs(i)._1, vid, r + 1) })
@@ -444,6 +476,9 @@ final class DistIndex private[distributed] (
 }
 
 object DistIndex {
+
+  /** The local property behind `SparkContext.setJobDescription`. */
+  private val JobDescription = "spark.job.description"
 
   /** The manifest's file name under `rootDir`. */
   private[distributed] val ManifestName = "_manifest"

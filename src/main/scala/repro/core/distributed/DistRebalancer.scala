@@ -6,12 +6,14 @@ import org.apache.spark.sql.functions._
 import repro.cluster.{PostingSplit, Split}
 import repro.core.{Lire, VectorMath}
 
-/** One oversized posting after its split event, as the lake's split round
-  * emits it from an executor: the old pid and either the [[Split]] or, when
-  * garbage collection alone fit the posting, its live rows in `gc`. Rows
-  * keep the old pid until the driver has allocated the new ones.
+/** One posting the lake's split round read, as its executor pass emits it:
+  * the [[Split]] of an oversized posting that splits or, for any other,
+  * its live rows (one per vid) in `live`. An oversized posting that garbage
+  * collection alone fit is written back as `live`; a posting in a split's
+  * reassign range is checked against Eq. 2 from `live`. Rows keep the old
+  * pid until the driver has allocated the new ones.
   */
-final case class SplitOut(oldPid: Long, gc: Seq[PostingRow], split: Option[Split[PostingRow]])
+final case class SplitOut(pid: Long, live: Seq[PostingRow], split: Option[Split[PostingRow]])
 
 /** Totals of one [[DistRebalancer.run]] — the distributed analogue of
   * [[repro.core.engine.EngineStats]].
@@ -34,30 +36,35 @@ final case class RebalanceStats(
   * One `run` executes split → reassign → merge rounds until the index is
   * balanced again. Which postings to split or merge it reads from the
   * lake's posting table, as the paper's rebuilder reads the block mapping's
-  * length field (§4.3): no scan of the lake. Each oversized posting goes
-  * through the engine's split event ([[PostingSplit.split]]: GC, balanced
-  * 2-means bisection, the two centroids and the split posting's Eq. 1
-  * candidates) *inside an executor* (`groupByKey.mapGroups`); one action
-  * reads the centroids, candidates and half memberships back to the
-  * driver, which allocates the fresh pids in ascending old-pid order. Eq. 2
-  * on the reassign-range neighbors is a DataFrame filter, and surviving
-  * moves append fresh-version rows while the stale replicas await the next
-  * GC. A round's commit writes only its new rows. Convergence of the loop
-  * is the paper's §3.4 theorem — each round strictly increases the
-  * centroid count, bounded by the number of live vectors.
+  * length field (§4.3): no scan of the lake. A split round with oversized
+  * postings runs three actions:
+  *
+  *  1. the split pass: one `groupByKey.mapGroups` over the oversized
+  *     postings and their reassign ranges. Each oversized posting goes
+  *     through the engine's split event ([[PostingSplit.split]]: GC,
+  *     balanced 2-means bisection, the two centroids and its Eq. 1
+  *     candidates) *inside an executor*; every other posting read gives
+  *     back its live rows, which the driver checks against Eq. 2 once it
+  *     knows the new centroids. The driver allocates the fresh pids in
+  *     ascending old-pid order;
+  *  2. the membership read of the reassign verdict, which also settles
+  *     the posting table's live counts ([[DistIndex.vidRows]]); none runs
+  *     when no candidate would move and no row went stale;
+  *  3. the commit, which writes only the round's new rows: the halves and
+  *     the moves' fresh-version rows. Stale replicas await the next GC.
+  *
+  * A merge round settles the live counts first if no split round did.
+  * Convergence of the loop is the paper's §3.4 theorem — each round
+  * strictly increases the centroid count, bounded by the number of live
+  * vectors.
   */
 final class DistRebalancer(idx: DistIndex) {
   import idx.spark
   import spark.implicits._
   private val cfg = idx.cfg
 
-  /** Rebalance to a stable state (or `maxRounds`). The posting table's
-    * live counts are settled first: one filtered action over the rows of
-    * the vids deleted or re-inserted since the last run, none when there
-    * are none.
-    */
+  /** Rebalance to a stable state (or `maxRounds`). */
   def run(maxRounds: Int = 50): RebalanceStats = {
-    idx.settle()
     var stats = RebalanceStats()
     var progress = true
     while (progress && stats.rounds < maxRounds) {
@@ -71,8 +78,10 @@ final class DistRebalancer(idx: DistIndex) {
 
   /** One split round over every posting whose raw size is over the limit:
     * the split event ([[PostingSplit.split]]) runs in one executor pass next
-    * to each posting's rows, and one action reads back each posting's
-    * centroids, Eq. 1 candidates and the vids of the rows it writes.
+    * to each posting's rows, which also reads the postings of each split's
+    * reassign range, and one action reads back each posting's centroids,
+    * Eq. 1 candidates, the vids of the rows it writes, and the live rows of
+    * the range's postings.
     */
   private def splitRound(): RebalanceStats = {
     val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq.sorted
@@ -80,47 +89,57 @@ final class DistRebalancer(idx: DistIndex) {
 
     val live = idx.liveUdf
     val lire = cfg // locals, so the executor closure does not capture this rebalancer
+    val over = oversized.toSet
     val oldCs = oversized.map(pid => pid -> idx.centroids.get(pid).get).toMap
 
-    // GC + split event per oversized posting, inside executors.
-    val splitOut: Dataset[SplitOut] = idx.postings
-      .filter(col("pid").isin(oversized: _*))
+    // The reassign range of a split (Eq. 2) is the old centroid's
+    // `reassignRange` nearest postings among those not split this round
+    // (their vectors go through Eq. 1). Only oversized postings can split,
+    // so the nearest postings up to the range-th one that is not oversized
+    // hold the range whatever the split events decide.
+    val reach: Map[Long, Seq[Long]] =
+      if (cfg.reassignRange == 0) Map.empty
+      else oldCs.map { case (pid, oldC) =>
+        val near = idx.centroids.nearest(oldC, cfg.reassignRange + oversized.size).map(_._1)
+        val cut = near.indices.filterNot(i => over(near(i))).lift(cfg.reassignRange - 1).fold(near.length)(_ + 1)
+        pid -> near.take(cut)
+      }
+    val inRange = reach.values.flatten.toSet
+
+    // GC + split event per oversized posting, inside executors; the other
+    // postings read only give back their live rows.
+    val splitOut: Dataset[SplitOut] = idx.postingsIn("pid", over ++ inRange)
       .filter(live(col("vid"), col("version")))
       .as[PostingRow]
       .groupByKey(_.pid)
       .mapGroups { (pid, it) =>
         val rows = it.toVector.groupBy(_.vid).valuesIterator.map(_.head).toVector
-        val split = PostingSplit.split(rows, (_: PostingRow).vec, oldCs(pid), lire, pid)
-        // GC alone fixed it: write back, keep pid and centroid (§4.2.1).
+        val split = if (over(pid)) PostingSplit.split(rows, (_: PostingRow).vec, oldCs(pid), lire, pid) else None
+        // No split: a range posting gives back its live rows, and an
+        // oversized one that GC alone fixed is written back as them, keeping
+        // its pid and centroid (§4.2.1).
         SplitOut(pid, if (split.isEmpty) rows else Nil, split)
       }
       .persist()
 
     // The driver reads the centroids, the Eq. 1 candidates and the vids of
-    // each written posting (the halves, or the GC'd rows), not the vectors.
-    val events = splitOut.map { s =>
-      val written = s.split.fold(Seq(s.gc))(sp => Seq(sp.half0, sp.half1))
-      (s.oldPid, s.split.map(_.copy(half0 = Nil, half1 = Nil)), written.map(_.map(_.vid)))
-    }.collect().sortBy(_._1)
-    val splits = events.collect { case (pid, Some(sp), _) => pid -> sp }
-    val gcOnly = events.collect { case (pid, None, _) => pid }
+    // each written posting (the halves, or the GC'd rows), not their
+    // vectors, and the live rows of the reassign ranges' postings.
+    val events = idx.labelled("lake split")(splitOut.map { s =>
+      val written = if (!over(s.pid)) Nil else s.split.fold(Seq(s.live))(sp => Seq(sp.half0, sp.half1))
+      (s.pid, s.split.map(_.copy(half0 = Nil, half1 = Nil)), written.map(_.map(_.vid)),
+        if (inRange(s.pid)) s.live else Nil)
+    }.collect()).sortBy(_._1)
+    val splits = events.collect { case (pid, Some(sp), _, _) => pid -> sp }
+    val gcOnly = events.collect { case (pid, None, _, _) if over(pid) => pid }
+    val rangeRows = events.map { case (pid, _, _, rows) => pid -> rows }.toMap
 
     // Allocate fresh pids in ascending old-pid order; update the driver
     // centroid index (§4.1: "update the memory SPTAG index with the new
-    // posting centroids"). The reassign range of each split (Eq. 2) is the
-    // old centroid's nearest postings among those not split this round
-    // (their vectors go through Eq. 1), so it is taken between removing the
-    // old centroids and inserting the new.
+    // posting centroids").
     val newPids: Map[Long, (Long, Long)] =
       splits.map { case (pid, _) => pid -> ((idx.freshPid(), idx.freshPid())) }.toMap
-    val splitInfo: Map[Long, (Array[Float], Array[Float], Array[Float])] =
-      splits.map { case (pid, sp) => pid -> ((oldCs(pid), sp.c0, sp.c1)) }.toMap
     splits.foreach { case (pid, _) => idx.centroids.remove(pid) }
-    val neighborMap: Map[Long, Seq[Long]] =
-      if (cfg.reassignRange == 0) Map.empty
-      else splitInfo.map { case (pid, (oldC, _, _)) =>
-        pid -> idx.centroids.nearest(oldC, cfg.reassignRange).map(_._1)
-      }
     splits.foreach { case (pid, sp) =>
       val (p0, p1) = newPids(pid)
       idx.centroids.insert(p0, sp.c0)
@@ -130,12 +149,13 @@ final class DistRebalancer(idx: DistIndex) {
     // The commit writes the halves under their new posting ids (GC-only
     // rows keep theirs); `written` is (vid, pid) of each of those rows.
     val relabeled = splitOut.flatMap { s =>
-      s.split.fold(s.gc) { sp =>
-        val (p0, p1) = newPids(s.oldPid)
+      if (!over(s.pid)) Nil
+      else s.split.fold(s.live) { sp =>
+        val (p0, p1) = newPids(s.pid)
         sp.half0.map(_.copy(pid = p0)) ++ sp.half1.map(_.copy(pid = p1))
       }
     }.toDF()
-    val written = events.toSeq.flatMap { case (pid, _, vids) =>
+    val written = events.toSeq.flatMap { case (pid, _, vids, _) =>
       val pids = newPids.get(pid).fold(Seq(pid))(p => Seq(p._1, p._2))
       pids.zip(vids).flatMap { case (p, vs) => vs.map(_ -> p) }
     }
@@ -148,45 +168,32 @@ final class DistRebalancer(idx: DistIndex) {
       sp.cand0.map(_.copy(pid = p0)) ++ sp.cand1.map(_.copy(pid = p1))
     }
 
-    // Condition 2 (Eq. 2): vectors in the reassign range of each split.
-    val neighborToSplits: Map[Long, Seq[Long]] =
-      neighborMap.toSeq.flatMap { case (sp, nbrs) => nbrs.map(_ -> sp) }
-        .groupMap(_._1)(_._2)
-    val cand2 =
-      if (neighborToSplits.isEmpty) Seq.empty
-      else {
-        val bcNbr = spark.sparkContext.broadcast(neighborToSplits)
-        val bcInfo = spark.sparkContext.broadcast(splitInfo)
-        val cond2Udf = udf { (pid: Long, vec: Seq[Float]) =>
-          bcNbr.value.get(pid) match {
-            case None => false
-            case Some(sps) =>
-              val v = vec.toArray
-              sps.exists { sp =>
-                val (oldC, c0, c1) = bcInfo.value(sp)
-                Lire.condition2(v, oldC, Seq(c0, c1))
-              }
-          }
-        }
-        idx.postings
-          .filter(col("pid").isin(neighborToSplits.keys.toSeq: _*))
-          .filter(live(col("vid"), col("version")))
-          .filter(cond2Udf(col("pid"), col("vec")))
-          .as[PostingRow].collect().toSeq
+    // Condition 2 (Eq. 2): the live rows of each split's reassign range
+    // that one of its new centroids is at least as close to as its old one.
+    val splitPids = newPids.keySet
+    val ranges = splits.toSeq.flatMap { case (pid, sp) =>
+      reach.getOrElse(pid, Nil).filterNot(splitPids).take(cfg.reassignRange).map(_ -> ((oldCs(pid), sp)))
+    }.groupMap(_._1)(_._2)
+    val cand2 = ranges.toSeq.flatMap { case (nbr, sps) =>
+      rangeRows.getOrElse(nbr, Nil).filter { r =>
+        sps.exists { case (oldC, sp) => Lire.condition2(r.vec, oldC, Seq(sp.c0, sp.c1)) }
       }
+    }
 
-    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, oversized.toSet, written)
+    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, over, written)
     idx.commit(relabeled.unionByName(moves.toDF()), TableEdit(
       written = written.map(_._2) ++ moves.map(_.pid), staled = staled,
-      dropped = splits.map(_._1).toSet, rewritten = gcOnly.toSet))
+      dropped = splitPids, rewritten = gcOnly.toSet))
     splitOut.unpersist()
     RebalanceStats(splits = splits.length, gcOnlySplits = gcOnly.length) + reassigned
   }
 
   /** One merge round over every posting whose live size is under the
-    * threshold (§3.2 Merge).
+    * threshold (§3.2 Merge). The live sizes are settled first, which takes
+    * an action only when no split round's membership read settled them.
     */
   private def mergeRound(): RebalanceStats = {
+    idx.settle()
     // A posting can be all-stale (size 0 after reassigns): still merge it away.
     val undersized = idx.centroids.all.map(_._1)
       .filter(p => Lire.needsMerge(idx.table.get(p).fold(0L)(_.live).toInt, cfg)).toSeq.sorted
@@ -210,10 +217,9 @@ final class DistRebalancer(idx: DistIndex) {
 
     // The deleted posting's live rows are appended to the target (§3.2);
     // its stale rows are hidden with it.
-    val movedIn = idx.postings
-      .filter(col("pid").isin(plan.keys.toSeq: _*))
+    val movedIn = idx.labelled("lake merge")(idx.postingsIn("pid", plan.keys)
       .filter(idx.liveUdf(col("vid"), col("version")))
-      .as[PostingRow].collect().toSeq
+      .as[PostingRow].collect()).toSeq
       .map(r => r.copy(pid = plan(r.pid)))
 
     // §3.3: vectors from the deleted posting all need a reassign check.
@@ -229,8 +235,9 @@ final class DistRebalancer(idx: DistIndex) {
     * ([[repro.centroid.CentroidIndex.reassignTarget]]) against the
     * *updated* centroid set. The verdict needs to know whether the vid's
     * nearest posting already holds a live replica: for the candidates that
-    * would move without one, one action reads every lake row of their vids,
-    * and none runs when no candidate would move. Those rows, outside the
+    * would move without one, one action reads every lake row of their vids
+    * and settles the posting table ([[DistIndex.vidRows]]); none runs when
+    * no candidate would move and no row is pending. Those rows, outside the
     * postings the commit hides and with the rows it writes added, also
     * give the live rows a move leaves stale. A move CAS-bumps the vid's
     * version (§4.2.2; losers abort silently) and appends fresh-version rows
@@ -260,18 +267,13 @@ final class DistRebalancer(idx: DistIndex) {
     val wouldMove = primaries.filter(verdict(_, _ => Iterator.empty).isDefined)
     // (pid, version) of every row each would-be mover has once the commit
     // lands; the commit's own rows are live, so at the vid's version now.
-    val rowsOf: Map[Long, Seq[(Long, Int)]] =
-      if (wouldMove.isEmpty) Map.empty
-      else {
-        val movers = wouldMove.map(_.vid).toSet
-        val lake = idx.postings.filter(col("vid").isin(movers.toSeq: _*))
-          .select(col("vid"), col("pid"), col("version")).collect()
-          .collect { case r if !hidden(r.getLong(1)) => r.getLong(0) -> ((r.getLong(1), r.getInt(2))) }
-        val fresh = written.collect { case (vid, pid) if movers(vid) =>
-          vid -> ((pid, idx.versions.currentVersion(vid)))
-        }
-        (lake.toSeq ++ fresh).groupMap(_._1)(_._2)
-      }
+    val movers = wouldMove.map(_.vid).toSet
+    val lake = idx.vidRows(movers, "lake reassign")
+      .collect { case (vid, pid, version) if !hidden(pid) => vid -> ((pid, version)) }
+    val fresh = written.collect { case (vid, pid) if movers(vid) =>
+      vid -> ((pid, idx.versions.currentVersion(vid)))
+    }
+    val rowsOf: Map[Long, Seq[(Long, Int)]] = (lake ++ fresh).groupMap(_._1)(_._2)
     val moves = wouldMove.flatMap { c =>
       val held = rowsOf.getOrElse(c.vid, Nil)
       verdict(c, pid => held.iterator.collect { case (`pid`, version) => version })

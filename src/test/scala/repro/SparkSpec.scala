@@ -1,5 +1,8 @@
 package repro
 
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -27,18 +30,52 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   def countJobs[T](body: => T): (T, Int) = {
     val sc = spark.sparkContext
     val group = s"count-jobs-${java.util.UUID.randomUUID}"
-    def inGroup[U](g: String)(f: => U): U = {
-      sc.setJobGroup(g, g)
-      try f finally sc.clearJobGroup()
-    }
     val out = inGroup(group)(body)
-    inGroup(s"$group-marker")(sc.parallelize(Seq(1), 1).count())
+    awaitMarker(group, sc.statusTracker.getJobIdsForGroup(_).nonEmpty)
+    (out, sc.statusTracker.getJobIdsForGroup(group).length)
+  }
+
+  /** `body`'s result and the description (`setJobDescription`, null when
+    * unset) of every Spark job it launched, in launch order, run under a job
+    * group of its own. `body` starts with the group's name as its job
+    * description, so a job that sets none reports that name.
+    */
+  def jobDescriptions[T](body: => T): (T, Seq[String]) = {
+    val sc = spark.sparkContext
+    val group = s"job-descriptions-${java.util.UUID.randomUUID}"
+    val started = new java.util.concurrent.ConcurrentLinkedQueue[(String, Option[String])]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = Option(e.properties).foreach { p =>
+        started.add((p.getProperty("spark.jobGroup.id"), Option(p.getProperty("spark.job.description"))))
+      }
+    }
+    sc.addSparkListener(listener)
+    try {
+      val out = inGroup(group)(body)
+      awaitMarker(group, g => started.asScala.exists(_._1 == g))
+      (out, started.asScala.collect { case (`group`, d) => d.orNull }.toSeq)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** `f` run under job group `g`, whose description is `g` too. */
+  private def inGroup[U](g: String)(f: => U): U = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(g, g)
+    try f finally sc.clearJobGroup()
+  }
+
+  /** Run a marker job in group `<group>-marker` and wait until `seen`
+    * reports it: listeners receive job events in order, so every job of
+    * `group` has been seen by then.
+    */
+  private def awaitMarker(group: String, seen: String => Boolean): Unit = {
+    val marker = s"$group-marker"
+    inGroup(marker)(spark.sparkContext.parallelize(Seq(1), 1).count())
     val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
-    while (sc.statusTracker.getJobIdsForGroup(s"$group-marker").isEmpty) {
-      assert(System.nanoTime() < deadline, "the marker job never reached the status tracker")
+    while (!seen(marker)) {
+      assert(System.nanoTime() < deadline, "the marker job never reached the listener")
       Thread.sleep(10)
     }
-    (out, sc.statusTracker.getJobIdsForGroup(group).length)
   }
 }
 

@@ -100,7 +100,7 @@ class DistIndexSpec extends SparkSpec {
 
   test("build postings respect the split limit (live sizes)") {
     val (idx, _) = fresh(300)
-    assert(idx.rawSizesAndLive().values.forall(_._2 <= cfg.splitLimit))
+    assert(LakeChecks.rawSizesAndLive(idx).values.forall(_._2 <= cfg.splitLimit))
   }
 
   test("every vector's primary (nearest) centroid hosts one of its replicas") {
@@ -207,12 +207,12 @@ class DistIndexSpec extends SparkSpec {
     (1L to 9L).foreach(idx.versions.register)
     idx.versions.register(2L) // re-inserted: its version-0 rows are stale
     idx.versions.markDeleted(3L)
-    idx.commit(Seq(
+    LakeChecks.commit(idx, Seq(
       PostingRow(1, 0, 0, Array(5f, 0f)), PostingRow(2, 0, 0, Array(4f, 0f)),
       PostingRow(3, 0, 0, Array(4.5f, 0f)), PostingRow(5, 0, 0, Array(5f, 1f)),
       PostingRow(7, 0, 0, Array(0f, 0f)), PostingRow(8, 2, 0, Array(0f, 9f)),
     ).toDF())
-    idx.commit(Seq(
+    LakeChecks.commit(idx, Seq(
       PostingRow(1, 1, 0, Array(5f, 0f)), PostingRow(2, 1, 1, Array(8f, 0f)),
       PostingRow(4, 1, 0, Array(3f, 1f)), PostingRow(6, 2, 0, Array(4f, 0.5f)),
       PostingRow(9, 3, 0, Array(100f, 100f)),
@@ -261,6 +261,29 @@ class DistIndexSpec extends SparkSpec {
     val (rows, jobs) = countJobs(idx.search(queries, k = 10).collect())
     assert(rows.length == 20 * 10)
     assert(jobs == 1)
+  }
+
+  test("lake reads of new pid or vid sets compile no new code") {
+    import org.apache.spark.metrics.source.CodegenMetrics
+    import spark.implicits._
+    val (idx, base) = fresh(200)
+    def compiled = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    // Two searches whose probes share no posting: the pid sets differ.
+    val qs = Seq(base.head.vec, base.maxBy(v => VectorMath.sqDist(v.vec, base.head.vec)).vec)
+    assert(idx.nearestPids(qs(0), 3).toSet.intersect(idx.nearestPids(qs(1), 3).toSet).isEmpty)
+    def search(q: Array[Float]) = idx.search(Seq((0L, q)).toDF("qid", "qvec"), k = 5, probes = 3).collect()
+    search(qs(0))
+    val beforePids = compiled
+    search(qs(1))
+    assert(compiled == beforePids, "a search of other postings compiled new code")
+    // Two settles whose pending vids differ.
+    idx.deleteBatch(Seq(base(1).id))
+    idx.settle()
+    val beforeVids = compiled
+    idx.deleteBatch(Seq(base(2).id, base(3).id))
+    idx.settle()
+    assert(compiled == beforeVids, "a settle of other vids compiled new code")
+    LakeChecks.tableMatchesScan(idx, "after the settles")
   }
 
   test("oracle: live posting sizes equal a DuckDB group-by") {

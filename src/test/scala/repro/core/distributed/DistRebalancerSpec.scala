@@ -3,7 +3,9 @@ package repro.core.distributed
 import java.nio.file.Files
 
 import repro.{LireInvariants, SparkSpec}
-import repro.core.{LireConfig, VectorMath}
+import org.apache.spark.sql.functions.col
+
+import repro.core.{Lire, LireConfig, VectorMath}
 import repro.data.{GroundTruth, VectorGen}
 
 /** Distributed LIRE rebalancer: split rounds, GC, reassignment, merges, and
@@ -30,7 +32,6 @@ class DistRebalancerSpec extends SparkSpec {
     * expected — it must just stay marginal.
     */
   private def assertInvariants(idx: DistIndex): Unit = {
-    import org.apache.spark.sql.functions.col
     val rows = idx.postings.filter(idx.liveUdf(col("vid"), col("version")))
       .select("pid", "vid", "vec").collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Float](2).toArray)).toSeq
@@ -126,7 +127,7 @@ class DistRebalancerSpec extends SparkSpec {
     val rows = sides ++ near1 ++ replica :+ PostingRow(999L, 0L, 0, probe)
     Seq(Array(0f, 0f), Array(0f, 0.6f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
     rows.map(_.vid).distinct.foreach(idx.versions.register)
-    idx.commit(rows.toDF())
+    LakeChecks.commit(idx, rows.toDF())
     (idx, new DistRebalancer(idx).run())
   }
 
@@ -140,8 +141,94 @@ class DistRebalancerSpec extends SparkSpec {
     val (idx, stats) = handMadeSplit(inPosting1 = false)
     assert(stats == RebalanceStats(rounds = 2, splits = 1, reassignChecked = 1, reassignMoved = 1))
     assert(idx.versions.currentVersion(999L) == 1)
-    import org.apache.spark.sql.functions.col
     assert(idx.postings.filter(col("vid") === 999L && col("pid") === 1L && col("version") === 1).count() == 1)
+  }
+
+  /** A hand-made 2-D lake with three oversized postings (split limit 40)
+    * and a reassign range of 3. Posting 0 (centroid (0, 0)) and posting 2
+    * ((0, -1.6)) each hold 41 live vectors in two blobs near x = ±1, and
+    * split. Posting 1 ((0, 1.5)) holds 35 live vectors spread along
+    * y = 1.5 and 10 tombstoned ones: garbage collection alone fits it, and
+    * it is in both splits' ranges. Posting 5 ((0, 2.5)) holds only
+    * tombstoned rows and posting 3 ((0, 3)) live ones: both are in the
+    * ranges too. Posting 4 ((0, 10)) lies just outside them. The rows of
+    * postings 2 and 4 pass Eq. 2 against posting 0's split, so a range that
+    * kept a split posting or reached too far would show.
+    */
+  test("a split round's Eq. 2 candidates equal a brute force over each final reassign range") {
+    import spark.implicits._
+    val handCfg = LireConfig(splitLimit = 40, mergeThreshold = 1, reassignRange = 3, searchProbes = 4)
+    val idx = new DistIndex(spark, Files.createTempDirectory("eq2lake").toString, 2, handCfg)
+    val centroids = IndexedSeq(Array(0f, 0f), Array(0f, 1.5f), Array(0f, -1.6f), Array(0f, 3f), Array(0f, 10f),
+      Array(0f, 2.5f))
+    centroids.foreach(c => idx.centroids.insert(idx.freshPid(), c))
+    def blobs(pid: Long, y: Float) = (0 until 41).map { i =>
+      PostingRow(100L * pid + i, pid, 0, Array(if (i < 21) -1f else 1f, y + (i % 21 - 10) * 0.01f))
+    }
+    def row(vid: Long, pid: Long, x: Float, y: Float) = PostingRow(vid, pid, 0, Array(x, y))
+    val spread = (0 until 35).map(i => row(100L + i, 1L, -1f + 2f * i / 34, 1.5f))
+    val dead = (0 until 10).map(i => row(150L + i, 1L, 0.9f, 1.5f)) ++ Seq(row(500L, 5L, 0.9f, 2.5f))
+    val third = Seq(-0.9f, 0f, 0.9f).zipWithIndex.map { case (x, i) => row(300L + i, 3L, x, 3f) }
+    val far = Seq(-1f, 1f).zipWithIndex.map { case (x, i) => row(400L + i, 4L, x, 10f) }
+    val rows = blobs(0, 0f) ++ spread ++ dead ++ blobs(2, -1.6f) ++ third ++ far
+    rows.foreach(r => idx.versions.register(r.vid))
+    dead.foreach(r => idx.versions.markDeleted(r.vid))
+    LakeChecks.commit(idx, rows.toDF())
+    val live = rows.filterNot(r => idx.versions.isStale(r.vid, r.version))
+
+    val stats = new DistRebalancer(idx).run(maxRounds = 1)
+    // The merge round folds the empty posting 5 away.
+    assert(stats.splits == 2 && stats.gcOnlySplits == 1 && stats.merges == 1, stats)
+    // Posting 0's halves are the fresh postings 6 and 7, posting 2's 8 and 9.
+    val halves = Map(0L -> ((6L, 7L)), 2L -> ((8L, 9L)))
+    val newC = (6L to 9L).map(p => p -> idx.centroids.get(p).get).toMap
+    val home = idx.postings.filter(col("pid") >= 6).select("vid", "pid").collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).toMap
+    // Eq. 1 and the far-half rule over each split's halves.
+    val cand1 = halves.toSeq.flatMap { case (old, (p0, p1)) =>
+      live.filter(_.pid == old).filter { r =>
+        val (own, other) = if (home(r.vid) == p0) (p0, p1) else (p1, p0)
+        Lire.splitCandidate(r.vec, centroids(old.toInt), newC(own), newC(other))
+      }
+    }
+    // Eq. 2 over each split's 3 nearest postings among those not split.
+    def range(oldC: Array[Float]) =
+      Seq(1L, 3L, 4L, 5L).sortBy(p => (VectorMath.sqDist(oldC, centroids(p.toInt)), p)).take(3)
+    def eq2(old: Long, r: PostingRow) = {
+      val (p0, p1) = halves(old)
+      Lire.condition2(r.vec, centroids(old.toInt), Seq(newC(p0), newC(p1)))
+    }
+    val cand2 = halves.keys.toSeq.flatMap { old =>
+      live.filter(r => range(centroids(old.toInt)).contains(r.pid) && eq2(old, r))
+    }
+    assert(halves.keys.forall(old => range(centroids(old.toInt)) == Seq(1L, 5L, 3L)))
+    assert(cand2.exists(_.pid == 1L), "no Eq. 2 candidate in the GC-only posting")
+    assert(live.exists(r => r.pid == 2L && eq2(0L, r)) && live.exists(r => r.pid == 4L && eq2(0L, r)))
+    assert(stats.reassignChecked == (cand1 ++ cand2).map(_.vid).distinct.size)
+  }
+
+  test("every job of a rebalance carries its maintenance phase's label") {
+    val labels = Set("lake settle", "lake split", "lake reassign", "lake merge", "lake commit",
+      "lake compact", "lake search")
+    val sc = spark.sparkContext
+    def labelsOf(run: => RebalanceStats): Set[String] = {
+      val ((caller, after), descs) = jobDescriptions {
+        val caller = sc.getLocalProperty("spark.job.description")
+        run
+        (caller, sc.getLocalProperty("spark.job.description"))
+      }
+      assert(after == caller, "the caller's job description was not given back")
+      assert(descs.nonEmpty && descs.forall(labels), s"jobs without a phase label: ${descs.filterNot(labels)}")
+      descs.toSet
+    }
+    val (storm, stormBase) = fresh(200)
+    storm.deleteBatch(stormBase.take(20).map(_.id))
+    storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
+    assert(Set("lake split", "lake reassign", "lake commit").subsetOf(labelsOf(new DistRebalancer(storm).run())))
+    val (drained, base) = fresh(300, seed = 11)
+    val c = mix(11).centers.head
+    drained.deleteBatch(base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id))
+    assert(Set("lake settle", "lake merge", "lake commit").subsetOf(labelsOf(new DistRebalancer(drained).run())))
   }
 
   test("a split round allocates fresh pids in ascending old-pid order") {
@@ -155,7 +242,7 @@ class DistRebalancerSpec extends SparkSpec {
       PostingRow(100L * i + j, i.toLong, 0, Array(10f * i + (if (j < 21) -1f else 1f), (j % 21 - 10) * 0.01f))
     postings.foreach(i => idx.centroids.insert(idx.freshPid(), Array(10f * i, 0f)))
     rows.foreach(r => idx.versions.register(r.vid))
-    idx.commit(rows.toDF())
+    LakeChecks.commit(idx, rows.toDF())
     // Spark then keeps the shuffle's partitions, which hash the pids out of
     // order; the pids must not depend on that.
     val coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
@@ -191,7 +278,7 @@ class DistRebalancerSpec extends SparkSpec {
     val (stormStats, stormJobs) = countJobs(new DistRebalancer(storm).run())
     assert(stormStats == RebalanceStats(rounds = 4, splits = 15,
       gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
-    assert(stormJobs == 16)
+    assert(stormJobs == 14)
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 
@@ -279,7 +366,7 @@ class DistRebalancerSpec extends SparkSpec {
     Files.write(root.resolve(DistIndex.ManifestName + ".tmp"), Array[Byte](1, 2, 3))
 
     val reopened = DistIndex.open(spark, idx.rootDir)
-    assert(reopened.rawSizesAndLive() == idx.rawSizesAndLive())
+    assert(LakeChecks.rawSizesAndLive(reopened) == LakeChecks.rawSizesAndLive(idx))
     val qs = VectorGen.queries(mix(23), 10, seed = 25)
     assert(searchAll(reopened, qs) == searchAll(idx, qs))
     // The reopened index commits over the debris.

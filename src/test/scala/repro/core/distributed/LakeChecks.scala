@@ -4,20 +4,40 @@ import java.nio.file.{Files, Paths}
 
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, count, lit, sum}
 import org.scalatest.Assertions._
 
-/** Checks of the lake's driver state against its files. */
+/** Hand-made lakes, and checks of the lake's driver state against its files. */
 object LakeChecks {
 
+  /** Commit hand-made rows (vid, pid, version, vec) to `idx`: one scan
+    * counts them into the posting table.
+    */
+  def commit(idx: DistIndex, rows: DataFrame): Unit = {
+    val counted = rows.select(col("pid"), idx.liveUdf(col("vid"), col("version"))).collect()
+    idx.commit(rows, TableEdit(written = counted.map(_.getLong(0)).toSeq,
+      staled = counted.collect { case r if !r.getBoolean(1) => r.getLong(0) }.toSeq))
+  }
+
+  /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
+    * scan of the lake: the ground truth the posting table must equal.
+    */
+  def rawSizesAndLive(idx: DistIndex): Map[Long, (Long, Long)] = {
+    val live = idx.liveUdf(col("vid"), col("version"))
+    idx.postings.groupBy("pid").agg(count(lit(1)), sum(live.cast("long")))
+      .collect().map(r => r.getLong(0) -> ((r.getLong(1), r.getLong(2)))).toMap
+  }
+
   /** The driver's posting table, with the rows of pending deletes and
-    * re-inserts settled, equals `rawSizesAndLive()`, a scan of the lake.
+    * re-inserts settled, equals [[rawSizesAndLive]], a scan of the lake.
     * Postings the table holds with no row are left out of the comparison,
     * as the scan cannot see them; they must have a centroid.
     */
   def tableMatchesScan(idx: DistIndex, when: String): Unit = {
     idx.settle()
     val table = idx.table.iterator.map { case (pid, m) => pid -> ((m.raw, m.live)) }.toMap
-    val scanned = idx.rawSizesAndLive()
+    val scanned = rawSizesAndLive(idx)
     assert(table.filter(_._2._1 > 0) == scanned, s"posting table != lake scan $when")
     assert(table.keySet.forall(idx.centroids.get(_).isDefined), s"a posting without a centroid $when")
   }
