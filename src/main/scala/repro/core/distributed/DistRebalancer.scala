@@ -1,17 +1,18 @@
 package repro.core.distributed
 
-import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 
 import repro.cluster.{PostingSplit, Split}
 import repro.core.{Lire, VectorMath}
 
-/** One posting the lake's split round read, as its executor pass emits it:
-  * the [[Split]] of an oversized posting that splits or, for any other,
-  * its live rows (one per vid) in `live`. An oversized posting that garbage
-  * collection alone fit is written back as `live`; a posting in a split's
-  * reassign range is checked against Eq. 2 from `live`. Rows keep the old
-  * pid until the driver has allocated the new ones.
+/** One posting the lake's split round read, as its executor pass emits it
+  * and the driver collects it: the [[Split]] of an oversized posting that
+  * splits (both halves with their vectors, the centroids and the Eq. 1
+  * candidates) or, for any other, its live rows (one per vid) in `live`.
+  * An oversized posting that garbage collection alone fit is written back
+  * as `live`; a posting in a split's reassign range is checked against
+  * Eq. 2 from `live`. Rows keep the old pid until the driver has allocated
+  * the new ones.
   */
 final case class SplitOut(pid: Long, live: Seq[PostingRow], split: Option[Split[PostingRow]])
 
@@ -40,18 +41,26 @@ final case class RebalanceStats(
   * postings runs three actions:
   *
   *  1. the split pass: one `groupByKey.mapGroups` over the oversized
-  *     postings and their reassign ranges. Each oversized posting goes
-  *     through the engine's split event ([[PostingSplit.split]]: GC,
-  *     balanced 2-means bisection, the two centroids and its Eq. 1
-  *     candidates) *inside an executor*; every other posting read gives
+  *     postings and their reassign ranges, collected to the driver. Each
+  *     oversized posting goes through the engine's split event
+  *     ([[PostingSplit.split]]: GC, balanced 2-means bisection, the two
+  *     centroids and its Eq. 1 candidates) *inside an executor*, and its
+  *     halves come back with their vectors; every other posting read gives
   *     back its live rows, which the driver checks against Eq. 2 once it
   *     knows the new centroids. The driver allocates the fresh pids in
   *     ascending old-pid order;
   *  2. the membership read of the reassign verdict, which also settles
   *     the posting table's live counts ([[DistIndex.vidRows]]); none runs
   *     when no candidate would move and no row went stale;
-  *  3. the commit, which writes only the round's new rows: the halves and
-  *     the moves' fresh-version rows. Stale replicas await the next GC.
+  *  3. the commit of the driver-held rows, as an insert or a merge
+  *     commits: it writes only the round's new rows, the halves under
+  *     their fresh pids and the moves' fresh-version rows. Stale replicas
+  *     await the next GC.
+  *
+  * The driver so holds each split's halves, the split posting's live rows
+  * (a little over `splitLimit` when the rebalancer keeps up), besides the
+  * live rows of its reassign range: `reassignRange` postings of up to
+  * `splitLimit` rows each.
   *
   * A merge round settles the live counts first if no split round did.
   * Convergence of the loop is the paper's §3.4 theorem — each round
@@ -79,9 +88,10 @@ final class DistRebalancer(idx: DistIndex) {
   /** One split round over every posting whose raw size is over the limit:
     * the split event ([[PostingSplit.split]]) runs in one executor pass next
     * to each posting's rows, which also reads the postings of each split's
-    * reassign range, and one action reads back each posting's centroids,
-    * Eq. 1 candidates, the vids of the rows it writes, and the live rows of
-    * the range's postings.
+    * reassign range, and one action collects each posting's [[SplitOut]]:
+    * the centroids, Eq. 1 candidates and rows of every posting it writes,
+    * and the live rows of the range's postings. The driver commits the
+    * rows it holds.
     */
   private def splitRound(): RebalanceStats = {
     val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq.sorted
@@ -107,8 +117,9 @@ final class DistRebalancer(idx: DistIndex) {
     val inRange = reach.values.flatten.toSet
 
     // GC + split event per oversized posting, inside executors; the other
-    // postings read only give back their live rows.
-    val splitOut: Dataset[SplitOut] = idx.postingsIn("pid", over ++ inRange)
+    // postings read only give back their live rows. One action brings every
+    // posting's result, halves and vectors included, to the driver.
+    val events = idx.labelled("lake split")(idx.postingsIn("pid", over ++ inRange)
       .filter(live(col("vid"), col("version")))
       .as[PostingRow]
       .groupByKey(_.pid)
@@ -120,19 +131,10 @@ final class DistRebalancer(idx: DistIndex) {
         // its pid and centroid (§4.2.1).
         SplitOut(pid, if (split.isEmpty) rows else Nil, split)
       }
-      .persist()
-
-    // The driver reads the centroids, the Eq. 1 candidates and the vids of
-    // each written posting (the halves, or the GC'd rows), not their
-    // vectors, and the live rows of the reassign ranges' postings.
-    val events = idx.labelled("lake split")(splitOut.map { s =>
-      val written = if (!over(s.pid)) Nil else s.split.fold(Seq(s.live))(sp => Seq(sp.half0, sp.half1))
-      (s.pid, s.split.map(_.copy(half0 = Nil, half1 = Nil)), written.map(_.map(_.vid)),
-        if (inRange(s.pid)) s.live else Nil)
-    }.collect()).sortBy(_._1)
-    val splits = events.collect { case (pid, Some(sp), _, _) => pid -> sp }
-    val gcOnly = events.collect { case (pid, None, _, _) if over(pid) => pid }
-    val rangeRows = events.map { case (pid, _, _, rows) => pid -> rows }.toMap
+      .collect()).sortBy(_.pid)
+    val splits = events.collect { case SplitOut(pid, _, Some(sp)) => pid -> sp }
+    val gcOnly = events.collect { case SplitOut(pid, _, None) if over(pid) => pid }
+    val rangeRows = events.map(s => s.pid -> s.live).toMap
 
     // Allocate fresh pids in ascending old-pid order; update the driver
     // centroid index (§4.1: "update the memory SPTAG index with the new
@@ -147,17 +149,13 @@ final class DistRebalancer(idx: DistIndex) {
     }
 
     // The commit writes the halves under their new posting ids (GC-only
-    // rows keep theirs); `written` is (vid, pid) of each of those rows.
-    val relabeled = splitOut.flatMap { s =>
+    // rows keep theirs).
+    val relabeled = events.toSeq.flatMap { s =>
       if (!over(s.pid)) Nil
       else s.split.fold(s.live) { sp =>
         val (p0, p1) = newPids(s.pid)
         sp.half0.map(_.copy(pid = p0)) ++ sp.half1.map(_.copy(pid = p1))
       }
-    }.toDF()
-    val written = events.toSeq.flatMap { case (pid, _, vids, _) =>
-      val pids = newPids.get(pid).fold(Seq(pid))(p => Seq(p._1, p._2))
-      pids.zip(vids).flatMap { case (p, vs) => vs.map(_ -> p) }
     }
 
     // ---- reassign candidates -------------------------------------------
@@ -180,11 +178,10 @@ final class DistRebalancer(idx: DistIndex) {
       }
     }
 
-    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, over, written)
-    idx.commit(relabeled.unionByName(moves.toDF()), TableEdit(
-      written = written.map(_._2) ++ moves.map(_.pid), staled = staled,
+    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, over, relabeled.map(r => r.vid -> r.pid))
+    val rows = relabeled ++ moves
+    idx.commit(rows.toDF(), TableEdit(written = rows.map(_.pid), staled = staled,
       dropped = splitPids, rewritten = gcOnly.toSet))
-    splitOut.unpersist()
     RebalanceStats(splits = splits.length, gcOnlySplits = gcOnly.length) + reassigned
   }
 

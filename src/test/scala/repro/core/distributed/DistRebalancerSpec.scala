@@ -112,9 +112,10 @@ class DistRebalancerSpec extends SparkSpec {
     * Posting 1 (centroid (0, 0.6)) holds five vectors near its centroid, and
     * a live replica of vector 999 when `inPosting1`. Vector 999 ends
     * farther from both new centroids than from the old one, so Eq. 1 flags
-    * it, and posting 1 is its nearest posting.
+    * it, and posting 1 is its nearest posting. Returns the lake and the
+    * rows committed to it.
     */
-  private def handMadeSplit(inPosting1: Boolean): (DistIndex, RebalanceStats) = {
+  private def handMadeLake(inPosting1: Boolean): (DistIndex, Seq[PostingRow]) = {
     import spark.implicits._
     val handCfg = LireConfig(splitLimit = 41, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
     val idx = new DistIndex(spark, Files.createTempDirectory("handlake").toString, 2, handCfg)
@@ -128,6 +129,11 @@ class DistRebalancerSpec extends SparkSpec {
     Seq(Array(0f, 0f), Array(0f, 0.6f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
     rows.map(_.vid).distinct.foreach(idx.versions.register)
     LakeChecks.commit(idx, rows.toDF())
+    (idx, rows)
+  }
+
+  private def handMadeSplit(inPosting1: Boolean): (DistIndex, RebalanceStats) = {
+    val (idx, _) = handMadeLake(inPosting1)
     (idx, new DistRebalancer(idx).run())
   }
 
@@ -142,6 +148,32 @@ class DistRebalancerSpec extends SparkSpec {
     assert(stats == RebalanceStats(rounds = 2, splits = 1, reassignChecked = 1, reassignMoved = 1))
     assert(idx.versions.currentVersion(999L) == 1)
     assert(idx.postings.filter(col("vid") === 999L && col("pid") === 1L && col("version") === 1).count() == 1)
+  }
+
+  test("a split round runs one two-job split action and leaves nothing cached") {
+    val (idx, _) = handMadeLake(inPosting1 = false)
+    val (stats, descs) = jobDescriptions(new DistRebalancer(idx).run())
+    assert(stats.splits == 1 && stats.rounds == 2, stats)
+    // The split pass's shuffle and its collect; the second round splits nothing.
+    assert(descs.count(_ == "lake split") == 2, descs)
+    assert(spark.sharedState.cacheManager.isEmpty, "a rebalance left a relation cached")
+  }
+
+  test("split halves keep, bit for bit, the vectors their vids were committed with") {
+    val (idx, rows) = handMadeLake(inPosting1 = false)
+    val stats = new DistRebalancer(idx).run()
+    assert(stats.splits == 1 && stats.reassignMoved == 1, stats)
+    def bits(v: Array[Float]) = v.map(java.lang.Float.floatToRawIntBits).toSeq
+    val committed = rows.map(r => r.vid -> bits(r.vec)).toMap
+    // Posting 0's halves are the fresh postings 2 and 3.
+    val halves = idx.postings.filter(col("pid") >= 2).select("vid", "pid", "vec").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Float](2).toArray))
+    assert(halves.map(_._2).toSet == Set(2L, 3L))
+    assert(halves.map(_._1).sorted.toSeq == rows.filter(_.pid == 0L).map(_.vid).sorted)
+    halves.foreach { case (vid, pid, vec) =>
+      assert(bits(vec) == committed(vid), s"vid $vid in posting $pid lost its vector")
+    }
+    LakeChecks.tableMatchesScan(idx, "after the hand-made split")
   }
 
   /** A hand-made 2-D lake with three oversized postings (split limit 40)
@@ -278,7 +310,7 @@ class DistRebalancerSpec extends SparkSpec {
     val (stormStats, stormJobs) = countJobs(new DistRebalancer(storm).run())
     assert(stormStats == RebalanceStats(rounds = 4, splits = 15,
       gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
-    assert(stormJobs == 14)
+    assert(stormJobs == 11)
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 
