@@ -1,6 +1,6 @@
 package repro.cluster
 
-import repro.core.{Lire, LireConfig, VectorMath}
+import repro.core.{Lire, LireConfig, PostingRecord, VectorMath}
 
 /** The two postings one split event makes of an oversized one: the halves
   * of the balanced 2-means, their mean centroids, and the rows of each half
@@ -12,13 +12,22 @@ final case class Split[R](half0: Seq[R], half1: Seq[R], c0: Array[Float], c1: Ar
 
 object PostingSplit {
 
+  /** Garbage collection's dedupe (§4.2.1), the same for both engines: one
+    * row per vector id of a posting's live rows. The rows come out in the
+    * order of a hash map over the vids, whatever order `rows` is in, so a
+    * [[split]] of the result does not depend on the order the posting was
+    * read in.
+    */
+  def onePerVid[R <: PostingRecord](rows: Iterable[R]): Vector[R] =
+    rows.groupBy(_.vid).valuesIterator.map(_.head).toVector
+
   /** One split event of the Local Rebuilder (§3.2, §4.2.1), the same for
     * both engines: the engine's split job calls it on a posting read from
-    * its block store, the lake's split round inside an executor next to the
-    * posting's rows.
+    * its block store, the lake's split round on the driver, on a posting
+    * its split read collected.
     *
     * @param live the posting's rows after garbage collection (one per live
-    *             vector)
+    *             vector, as [[onePerVid]] orders them)
     * @param oldC the split posting's centroid
     * @param seed the bisection's seed, evaluated only when the posting
     *             splits

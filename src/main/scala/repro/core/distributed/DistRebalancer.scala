@@ -2,19 +2,8 @@ package repro.core.distributed
 
 import org.apache.spark.sql.functions._
 
-import repro.cluster.{PostingSplit, Split}
+import repro.cluster.PostingSplit
 import repro.core.{Lire, VectorMath}
-
-/** One posting the lake's split round read, as its executor pass emits it
-  * and the driver collects it: the [[Split]] of an oversized posting that
-  * splits (both halves with their vectors, the centroids and the Eq. 1
-  * candidates) or, for any other, its live rows (one per vid) in `live`.
-  * An oversized posting that garbage collection alone fit is written back
-  * as `live`; a posting in a split's reassign range is checked against
-  * Eq. 2 from `live`. Rows keep the old pid until the driver has allocated
-  * the new ones.
-  */
-final case class SplitOut(pid: Long, live: Seq[PostingRow], split: Option[Split[PostingRow]])
 
 /** Totals of one [[DistRebalancer.run]] — the distributed analogue of
   * [[repro.core.engine.EngineStats]].
@@ -38,17 +27,18 @@ final case class RebalanceStats(
   * balanced again. Which postings to split or merge it reads from the
   * lake's posting table, as the paper's rebuilder reads the block mapping's
   * length field (§4.3): no scan of the lake. A split round with oversized
-  * postings runs three actions:
+  * postings runs three one-job actions:
   *
-  *  1. the split pass: one `groupByKey.mapGroups` over the oversized
-  *     postings and their reassign ranges, collected to the driver. Each
-  *     oversized posting goes through the engine's split event
-  *     ([[PostingSplit.split]]: GC, balanced 2-means bisection, the two
-  *     centroids and its Eq. 1 candidates) *inside an executor*, and its
-  *     halves come back with their vectors; every other posting read gives
-  *     back its live rows, which the driver checks against Eq. 2 once it
-  *     knows the new centroids. The driver allocates the fresh pids in
-  *     ascending old-pid order;
+  *  1. the split read: one filtered scan, with no shuffle, of the oversized
+  *     postings and their reassign ranges, whose live rows the driver
+  *     collects. The driver runs each oversized posting through the
+  *     engine's split event ([[PostingSplit.onePerVid]] for GC, then
+  *     [[PostingSplit.split]]: balanced 2-means bisection, the two
+  *     centroids and its Eq. 1 candidates), as the paper's Local Rebuilder
+  *     reads, garbage-collects and bisects a posting in one process
+  *     (§4.2.1). It allocates the fresh pids in ascending old-pid order and
+  *     checks the range postings' live rows against Eq. 2 once it knows the
+  *     new centroids;
   *  2. the membership read of the reassign verdict, which also settles
   *     the posting table's live counts ([[DistIndex.vidRows]]); none runs
   *     when no candidate would move and no row went stale;
@@ -57,10 +47,10 @@ final case class RebalanceStats(
   *     their fresh pids and the moves' fresh-version rows. Stale replicas
   *     await the next GC.
   *
-  * The driver so holds each split's halves, the split posting's live rows
-  * (a little over `splitLimit` when the rebalancer keeps up), besides the
-  * live rows of its reassign range: `reassignRange` postings of up to
-  * `splitLimit` rows each.
+  * The driver so holds each split posting's live rows (a little over
+  * `splitLimit` when the rebalancer keeps up), besides the live rows of
+  * its reassign range: `reassignRange` postings of up to `splitLimit` rows
+  * each. A rebalance runs no shuffle.
   *
   * A merge round settles the live counts first if no split round did.
   * Convergence of the loop is the paper's §3.4 theorem — each round
@@ -86,19 +76,16 @@ final class DistRebalancer(idx: DistIndex) {
   }
 
   /** One split round over every posting whose raw size is over the limit:
-    * the split event ([[PostingSplit.split]]) runs in one executor pass next
-    * to each posting's rows, which also reads the postings of each split's
-    * reassign range, and one action collects each posting's [[SplitOut]]:
-    * the centroids, Eq. 1 candidates and rows of every posting it writes,
-    * and the live rows of the range's postings. The driver commits the
-    * rows it holds.
+    * one action reads the live rows of those postings and of each split's
+    * reassign range, and the driver splits each oversized posting
+    * ([[PostingSplit.split]]), checks the range's rows against Eq. 2 and
+    * commits the rows it holds. Three one-job actions in all: this read,
+    * the reassign verdict's membership read and the commit.
     */
   private def splitRound(): RebalanceStats = {
     val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq.sorted
     if (oversized.isEmpty) return RebalanceStats()
 
-    val live = idx.liveUdf
-    val lire = cfg // locals, so the executor closure does not capture this rebalancer
     val over = oversized.toSet
     val oldCs = oversized.map(pid => pid -> idx.centroids.get(pid).get).toMap
 
@@ -116,25 +103,23 @@ final class DistRebalancer(idx: DistIndex) {
       }
     val inRange = reach.values.flatten.toSet
 
-    // GC + split event per oversized posting, inside executors; the other
-    // postings read only give back their live rows. One action brings every
-    // posting's result, halves and vectors included, to the driver.
-    val events = idx.labelled("lake split")(idx.postingsIn("pid", over ++ inRange)
-      .filter(live(col("vid"), col("version")))
-      .as[PostingRow]
-      .groupByKey(_.pid)
-      .mapGroups { (pid, it) =>
-        val rows = it.toVector.groupBy(_.vid).valuesIterator.map(_.head).toVector
-        val split = if (over(pid)) PostingSplit.split(rows, (_: PostingRow).vec, oldCs(pid), lire, pid) else None
-        // No split: a range posting gives back its live rows, and an
-        // oversized one that GC alone fixed is written back as them, keeping
-        // its pid and centroid (§4.2.1).
-        SplitOut(pid, if (split.isEmpty) rows else Nil, split)
-      }
-      .collect()).sortBy(_.pid)
-    val splits = events.collect { case SplitOut(pid, _, Some(sp)) => pid -> sp }
-    val gcOnly = events.collect { case SplitOut(pid, _, None) if over(pid) => pid }
-    val rangeRows = events.map(s => s.pid -> s.live).toMap
+    // One filtered read brings the live rows of the oversized postings and
+    // of their reassign ranges to the driver, one row per vid and posting
+    // (GC, §4.2.1). A posting with no live row reads nothing: an oversized
+    // one is then left to the merge round.
+    val liveRows: Map[Long, Vector[PostingRow]] =
+      idx.labelled("lake split")(idx.postingsIn("pid", over ++ inRange)
+        .filter(idx.liveUdf(col("vid"), col("version")))
+        .as[PostingRow].collect()).toSeq
+        .groupBy(_.pid).view.mapValues(PostingSplit.onePerVid(_)).toMap
+    val withLive = oversized.filter(liveRows.contains)
+    // The split event per oversized posting, seeded by its pid; `None`
+    // when GC alone fixed it, which keeps its pid and centroid.
+    val splits = withLive.flatMap { pid =>
+      PostingSplit.split(liveRows(pid), (_: PostingRow).vec, oldCs(pid), cfg, pid).map(pid -> _)
+    }
+    val splitOf = splits.toMap
+    val gcOnly = withLive.filterNot(splitOf.contains)
 
     // Allocate fresh pids in ascending old-pid order; update the driver
     // centroid index (§4.1: "update the memory SPTAG index with the new
@@ -150,10 +135,9 @@ final class DistRebalancer(idx: DistIndex) {
 
     // The commit writes the halves under their new posting ids (GC-only
     // rows keep theirs).
-    val relabeled = events.toSeq.flatMap { s =>
-      if (!over(s.pid)) Nil
-      else s.split.fold(s.live) { sp =>
-        val (p0, p1) = newPids(s.pid)
+    val relabeled = withLive.flatMap { pid =>
+      splitOf.get(pid).fold[Seq[PostingRow]](liveRows(pid)) { sp =>
+        val (p0, p1) = newPids(pid)
         sp.half0.map(_.copy(pid = p0)) ++ sp.half1.map(_.copy(pid = p1))
       }
     }
@@ -161,7 +145,7 @@ final class DistRebalancer(idx: DistIndex) {
     // ---- reassign candidates -------------------------------------------
     // Condition 1 (Eq. 1) and the far-half rule: the split event's
     // candidates, homed in the new postings.
-    val cand1 = splits.toSeq.flatMap { case (pid, sp) =>
+    val cand1 = splits.flatMap { case (pid, sp) =>
       val (p0, p1) = newPids(pid)
       sp.cand0.map(_.copy(pid = p0)) ++ sp.cand1.map(_.copy(pid = p1))
     }
@@ -169,11 +153,11 @@ final class DistRebalancer(idx: DistIndex) {
     // Condition 2 (Eq. 2): the live rows of each split's reassign range
     // that one of its new centroids is at least as close to as its old one.
     val splitPids = newPids.keySet
-    val ranges = splits.toSeq.flatMap { case (pid, sp) =>
+    val ranges = splits.flatMap { case (pid, sp) =>
       reach.getOrElse(pid, Nil).filterNot(splitPids).take(cfg.reassignRange).map(_ -> ((oldCs(pid), sp)))
     }.groupMap(_._1)(_._2)
     val cand2 = ranges.toSeq.flatMap { case (nbr, sps) =>
-      rangeRows.getOrElse(nbr, Nil).filter { r =>
+      liveRows.getOrElse(nbr, Nil).filter { r =>
         sps.exists { case (oldC, sp) => Lire.condition2(r.vec, oldC, Seq(sp.c0, sp.c1)) }
       }
     }

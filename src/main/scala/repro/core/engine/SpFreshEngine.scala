@@ -239,8 +239,7 @@ final class SpFreshEngine(
 
   /** Live (de-duplicated, current-version) records of a posting. */
   private def liveRecords(recs: Seq[VectorRecord]): Vector[VectorRecord] =
-    recs.filter(r => !versions.isStale(r.vid, r.version))
-      .groupBy(_.vid).valuesIterator.map(_.head).toVector
+    PostingSplit.onePerVid(recs.filter(r => !versions.isStale(r.vid, r.version)))
 
   private def runSplit(pid: Long): Unit = {
     pendingSplits.remove(pid)

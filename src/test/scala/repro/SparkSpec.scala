@@ -2,7 +2,7 @@ package repro
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -54,6 +54,34 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       val out = inGroup(group)(body)
       awaitMarker(group, g => started.asScala.exists(_._1 == g))
       (out, started.asScala.collect { case (`group`, d) => d.orNull }.toSeq)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** `body`'s result and the shuffle bytes its Spark jobs wrote: the sum of
+    * `shuffleWriteMetrics.bytesWritten` over the tasks of every stage of
+    * every job it launched, run under a job group of its own.
+    */
+  def shuffleBytesWritten[T](body: => T): (T, Long) = {
+    val sc = spark.sparkContext
+    val group = s"shuffle-bytes-${java.util.UUID.randomUUID}"
+    val groups = java.util.concurrent.ConcurrentHashMap.newKeySet[String]()
+    val stages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+    val bytes = new java.util.concurrent.atomic.AtomicLong
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach { g =>
+          if (g == group) e.stageIds.foreach(stages.add)
+          groups.add(g)
+        }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId) && e.taskMetrics != null)
+          bytes.addAndGet(e.taskMetrics.shuffleWriteMetrics.bytesWritten)
+    }
+    sc.addSparkListener(listener)
+    try {
+      val out = inGroup(group)(body)
+      awaitMarker(group, groups.contains)
+      (out, bytes.get)
     } finally sc.removeSparkListener(listener)
   }
 

@@ -4,8 +4,9 @@ import scala.util.Random
 
 import repro.SparkSpec
 import repro.centroid.BruteForceCentroidIndex
-import repro.cluster.{BalancedKMeans, PostingSplit}
+import repro.cluster.{BalancedKMeans, PostingSplit, Split}
 import repro.core.VectorMath.sqDist
+import repro.storage.VectorRecord
 
 /** Tests of LIRE's two necessary conditions (§3.3) including the paper's
   * Figure 4 geometry and a randomized *necessity* property: a vector the
@@ -250,6 +251,25 @@ class LireSpec extends SparkSpec {
     assert(drawn == 0)
     assert(splitEvent(posting.take(splitCfg.splitLimit + 1), seed).isDefined)
     assert(drawn == 1)
+  }
+
+  test("split event: after GC's dedupe it does not depend on the order the rows were read in") {
+    // The posting with a second replica of every third vector, at the same
+    // version, as a merge or a reassign can leave in a posting.
+    val rows = posting.map { case (vid, v) => VectorRecord(vid, 0, v) } ++
+      posting.filter(_._1 % 3 == 0).map { case (vid, v) => VectorRecord(vid, 0, v.clone()) }
+    assert(PostingSplit.onePerVid(rows).map(_.vid).sorted == posting.map(_._1))
+    def bits(v: Array[Float]) = v.map(java.lang.Float.floatToRawIntBits).toSeq
+    def splitOf(read: Seq[VectorRecord]) = {
+      val s: Split[VectorRecord] =
+        PostingSplit.split(PostingSplit.onePerVid(read), (_: VectorRecord).vec, postingC, splitCfg, 5L).get
+      (Seq(s.half0, s.half1, s.cand0, s.cand1).map(_.map(_.vid)), bits(s.c0), bits(s.c1))
+    }
+    val expected = splitOf(rows)
+    assert(expected._1.drop(2).flatten.nonEmpty, "no candidates to compare")
+    (rows.reverse +: (1 to 8).map(seed => new Random(seed).shuffle(rows))).foreach { read =>
+      assert(splitOf(read) == expected)
+    }
   }
 
   test("LireConfig rejects nonsensical parameters") {

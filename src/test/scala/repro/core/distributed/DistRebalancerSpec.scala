@@ -150,13 +150,21 @@ class DistRebalancerSpec extends SparkSpec {
     assert(idx.postings.filter(col("vid") === 999L && col("pid") === 1L && col("version") === 1).count() == 1)
   }
 
-  test("a split round runs one two-job split action and leaves nothing cached") {
+  test("a split round runs one one-job split read and leaves nothing cached") {
     val (idx, _) = handMadeLake(inPosting1 = false)
     val (stats, descs) = jobDescriptions(new DistRebalancer(idx).run())
     assert(stats.splits == 1 && stats.rounds == 2, stats)
-    // The split pass's shuffle and its collect; the second round splits nothing.
-    assert(descs.count(_ == "lake split") == 2, descs)
+    // One filtered collect, with no shuffle; the second round splits nothing.
+    assert(descs.count(_ == "lake split") == 1, descs)
     assert(spark.sharedState.cacheManager.isEmpty, "a rebalance left a relation cached")
+  }
+
+  test("a rebalance run writes no shuffle bytes") {
+    val (idx, _) = fresh(200)
+    idx.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
+    val (stats, bytes) = shuffleBytesWritten(new DistRebalancer(idx).run())
+    assert(stats.splits > 0 && stats.reassignMoved > 0, stats)
+    assert(bytes == 0, s"a rebalance wrote $bytes shuffle bytes")
   }
 
   test("split halves keep, bit for bit, the vectors their vids were committed with") {
@@ -274,13 +282,10 @@ class DistRebalancerSpec extends SparkSpec {
       PostingRow(100L * i + j, i.toLong, 0, Array(10f * i + (if (j < 21) -1f else 1f), (j % 21 - 10) * 0.01f))
     postings.foreach(i => idx.centroids.insert(idx.freshPid(), Array(10f * i, 0f)))
     rows.foreach(r => idx.versions.register(r.vid))
-    LakeChecks.commit(idx, rows.toDF())
-    // Spark then keeps the shuffle's partitions, which hash the pids out of
-    // order; the pids must not depend on that.
-    val coalesce = "spark.sql.adaptive.coalescePartitions.enabled"
-    spark.conf.set(coalesce, false)
-    try assert(new DistRebalancer(idx).run(maxRounds = 1).splits == postings.length)
-    finally spark.conf.unset(coalesce)
+    // Committed in descending pid order, so the split read returns the
+    // postings out of order; the pids must not depend on that.
+    LakeChecks.commit(idx, rows.reverse.toDF())
+    assert(new DistRebalancer(idx).run(maxRounds = 1).splits == postings.length)
     val origins = idx.postings.select("pid", "vid").collect()
       .groupMap(_.getLong(0))(_.getLong(1) / 100).view.mapValues(_.toSet).toMap
     // Old posting i's halves are the (2i)-th and (2i+1)-th fresh pids.
@@ -310,7 +315,7 @@ class DistRebalancerSpec extends SparkSpec {
     val (stormStats, stormJobs) = countJobs(new DistRebalancer(storm).run())
     assert(stormStats == RebalanceStats(rounds = 4, splits = 15,
       gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
-    assert(stormJobs == 11)
+    assert(stormJobs == 8)
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 
