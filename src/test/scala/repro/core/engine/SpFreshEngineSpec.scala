@@ -280,6 +280,42 @@ class SpFreshEngineSpec extends SparkSpec {
     assert(e.pendingJobs == 0)
   }
 
+  test("engine counts are pinned: shifted churn") {
+    // Exact counts of one seeded shifted-churn trace: any change to what the
+    // engine's LIRE does (not only how fast) shows here.
+    val mixture = VectorGen.mixture(dim, 6, seed = 81)
+    val pool = VectorGen.shifted(mixture, seed = 82)
+    val base = VectorGen.draw(mixture, 1500, 0, seed = 83).map(v => (v.id, v.vec))
+    val e = new SpFreshEngine(dim, cfg, seed = 84)
+    e.buildInitial(base)
+    var live = base.map(_._1)
+    var nextId = 10000L
+    (1 to 5).foreach { ep =>
+      val (dels, ins) = VectorGen.epoch(live, pool, 0.08, nextId, seed = 85 + ep)
+      dels.foreach(e.delete)
+      ins.foreach(v => e.insert(v.id, v.vec))
+      e.drainJobs()
+      VectorGen.queries(pool, 20, seed = 90 + ep).foreach(q => e.search(q, 10))
+      e.drainJobs()
+      live = live.filterNot(dels.toSet) ++ ins.map(_.id)
+      nextId += ins.length
+    }
+    // Then starve one region so that searches there trigger merges.
+    val c = mixture.centers.head
+    val vecs = base.toMap
+    live.filter(vecs.contains).sortBy(id => VectorMath.sqDist(vecs(id), c)).take(250).foreach(e.delete)
+    (1 to 5).foreach(_ => e.search(c, 10))
+    e.drainJobs()
+    val top = VectorGen.queries(pool, 3, seed = 99).map(q => e.search(q, 10).ids.toList).toList
+    assert(e.stats.toString == "inserts=600 deletes=850 splitJobs=88 splits=39 gcOnly=49 merges=7 " +
+      "reassignChecked=2383 reassignExecuted=90 aborted=2293 cascades=14")
+    assert(e.centroids.size == 128)
+    assert(top == List(
+      List(10473, 10423, 10227, 10237, 10224, 10399, 10060, 10011, 10372, 10443),
+      List(786, 1043, 458, 281, 10010, 273, 1056, 1024, 560, 827),
+      List(10434, 10497, 10162, 10566, 1475, 10580, 10274, 10509, 10230, 10113)))
+  }
+
   /** The pre-selection centroid index: score every centroid, sort, take k. */
   private final class SortingCentroidIndex extends CentroidIndex {
     private val map = mutable.LongMap.empty[Array[Float]]
