@@ -26,6 +26,10 @@ class Table2OverallBench extends SparkSpec {
     q.map(f).sum / q.length
   }
 
+  private def printCensus(spfresh: Seq[EpochMetrics], spannPlus: Seq[EpochMetrics]): Unit =
+    println(f"replica census (counted, live replicas per live vector at the last epoch): " +
+      f"SPFresh=${spfresh.last.replicas.get}%.2f SPANN+=${spannPlus.last.replicas.get}%.2f (paper: 5.47)")
+
   test("Table 2 / Fig 7: shifted workload (SPACEV-like)") {
     val cfg = SimConfig(baseN = baseN, epochs = epochs, shifted = true)
     val w = UpdateSimulation.workload(cfg)
@@ -71,6 +75,8 @@ class Table2OverallBench extends SparkSpec {
       f"SPFresh final recall (${spfresh.last.recall}%.3f) must not trail SPANN+ (${spannPlus.last.recall}%.3f)")
     assert(spfresh.last.recall >= 0.8, f"SPFresh recall floor: ${spfresh.last.recall}%.3f")
 
+    printCensus(spfresh, spannPlus)
+
     // --- memory shape ---------------------------------------------------
     val fMem = spfresh.map(_.memoryMb).max
     val dMem = diskann.map(_.memoryMb).max
@@ -92,6 +98,7 @@ class Table2OverallBench extends SparkSpec {
     println(s"=== Table 2 / Fig 7, Workload B (stationary), baseN=$baseN ===")
     println(UpdateSimulation.render("SPFresh", spfresh))
     println(UpdateSimulation.render("SPANN+", spannPlus))
+    printCensus(spfresh, spannPlus)
 
     // Paper: "SPANN+ achieves similar performance with SPFresh on the SIFT
     // dataset, which is almost uniformly distributed."

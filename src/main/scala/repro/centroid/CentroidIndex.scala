@@ -2,7 +2,7 @@ package repro.centroid
 
 import scala.collection.mutable
 
-import repro.core.{Lire, VectorMath, VersionMap}
+import repro.core.VectorMath
 
 /** In-memory index over posting centroids — SPANN keeps an SPTAG graph in
   * DRAM for "quick identification of candidate postings" (§3.1); SPFresh
@@ -38,27 +38,6 @@ trait CentroidIndex {
     * navigation cost component of the latency model.
     */
   def distanceComputations: Long
-
-  /** Final NPA check of a reassign candidate (§3.3 false-positive
-    * elimination), the one verdict of both engines: the posting vector `vid`
-    * (vector `v`) should move to from its home `fromPid`, if any. One
-    * [[nearest]] call; the move needs a nearest posting `best` that
-    *  - is not `fromPid`,
-    *  - is strictly closer than `fromPid` ([[Lire.reassignImproves]]; a
-    *    home with no centroid, removed by a split or merge, loses to any
-    *    other posting),
-    *  - and holds no live replica of `vid`: none of the versions
-    *    `replicaVersions(best)` lists is current in `versions`. When `best`
-    *    holds one, NPA already holds and a move would only rewrite the
-    *    vector's replicas. `replicaVersions` is asked only for `best`, and
-    *    only when the first two tests pass.
-    */
-  def reassignTarget(v: Array[Float], vid: Long, fromPid: Long, versions: VersionMap,
-                     replicaVersions: Long => Iterator[Int]): Option[Long] =
-    nearest(v, 1).headOption.map(_._1).filter { best =>
-      best != fromPid && get(fromPid).forall(Lire.reassignImproves(v, _, get(best).get)) &&
-        !replicaVersions(best).exists(ver => !versions.isStale(vid, ver))
-    }
 }
 
 /** Exact centroid search. At reproduction scale (≲2k centroids) a linear

@@ -292,9 +292,6 @@ final class DistIndex private[distributed] (
   /** The live (pid, centroid) pairs. */
   def centroidSnapshot: Array[(Long, Array[Float])] = centroids.all.toArray
 
-  /** Driver-side nearest-centroid search (the SPTAG role). */
-  def nearestPids(v: Array[Float], k: Int): Seq[Long] = centroids.nearest(v, k).map(_._1)
-
   /** A vector's closure posting set ([[Lire.closure]] over its
     * `maxReplicas` nearest centroids).
     */
@@ -457,7 +454,7 @@ final class DistIndex private[distributed] (
     val nProbes = if (probes > 0) probes else cfg.searchProbes
     val vpb = recordsPerBlock
     queries.map { q =>
-      nearestPids(q, nProbes).map { pid =>
+      centroids.nearest(q, nProbes).map { case (pid, _) =>
         math.ceil(table.get(pid).fold(0L)(_.raw).toDouble / vpb).toLong
       }.sum
     }

@@ -3,7 +3,7 @@ package repro.core.distributed
 import org.apache.spark.sql.functions._
 
 import repro.cluster.PostingSplit
-import repro.core.{Lire, VectorMath}
+import repro.core.{Lire, Reassign, VectorMath}
 
 /** Totals of one [[DistRebalancer.run]] — the distributed analogue of
   * [[repro.core.engine.EngineStats]].
@@ -39,9 +39,10 @@ final case class RebalanceStats(
   *     (§4.2.1). It allocates the fresh pids in ascending old-pid order and
   *     checks the range postings' live rows against Eq. 2 once it knows the
   *     new centroids;
-  *  2. the membership read of the reassign verdict, which also settles
-  *     the posting table's live counts ([[DistIndex.vidRows]]); none runs
-  *     when no candidate would move and no row went stale;
+  *  2. the membership read of the reassign pass ([[Reassign.pass]]),
+  *     which also settles the posting table's live counts
+  *     ([[DistIndex.vidRows]]); none runs when no candidate would move and
+  *     no row went stale;
   *  3. the commit of the driver-held rows, as an insert or a merge
   *     commits: it writes only the round's new rows, the halves under
   *     their fresh pids and the moves' fresh-version rows. Stale replicas
@@ -80,7 +81,7 @@ final class DistRebalancer(idx: DistIndex) {
     * reassign range, and the driver splits each oversized posting
     * ([[PostingSplit.split]]), checks the range's rows against Eq. 2 and
     * commits the rows it holds. Three one-job actions in all: this read,
-    * the reassign verdict's membership read and the commit.
+    * the reassign pass's membership read and the commit.
     */
   private def splitRound(): RebalanceStats = {
     val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq.sorted
@@ -89,9 +90,9 @@ final class DistRebalancer(idx: DistIndex) {
     val over = oversized.toSet
     val oldCs = oversized.map(pid => pid -> idx.centroids.get(pid).get).toMap
 
-    // The reassign range of a split (Eq. 2) is the old centroid's
-    // `reassignRange` nearest postings among those not split this round
-    // (their vectors go through Eq. 1). Only oversized postings can split,
+    // The reassign range of a split ([[Reassign.range]]) is the old
+    // centroid's `reassignRange` nearest postings among those not split this
+    // round (their vectors go through Eq. 1). Only oversized postings can split,
     // so the nearest postings up to the range-th one that is not oversized
     // hold the range whatever the split events decide.
     val reach: Map[Long, Seq[Long]] =
@@ -154,13 +155,9 @@ final class DistRebalancer(idx: DistIndex) {
     // that one of its new centroids is at least as close to as its old one.
     val splitPids = newPids.keySet
     val ranges = splits.flatMap { case (pid, sp) =>
-      reach.getOrElse(pid, Nil).filterNot(splitPids).take(cfg.reassignRange).map(_ -> ((oldCs(pid), sp)))
+      Reassign.range(reach.getOrElse(pid, Nil), splitPids, cfg).map(_ -> (oldCs(pid) -> Seq(sp.c0, sp.c1)))
     }.groupMap(_._1)(_._2)
-    val cand2 = ranges.toSeq.flatMap { case (nbr, sps) =>
-      liveRows.getOrElse(nbr, Nil).filter { r =>
-        sps.exists { case (oldC, sp) => Lire.condition2(r.vec, oldC, Seq(sp.c0, sp.c1)) }
-      }
-    }
+    val cand2 = ranges.toSeq.flatMap { case (nbr, sps) => Reassign.rangeCandidates(liveRows.getOrElse(nbr, Nil), sps) }
 
     val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, over, relabeled.map(r => r.vid -> r.pid))
     val rows = relabeled ++ moves
@@ -210,21 +207,12 @@ final class DistRebalancer(idx: DistIndex) {
     RebalanceStats(merges = plan.size) + reassigned
   }
 
-  /** Final NPA check + execution for reassign candidates (§3.3), on the
-    * driver like the paper's Local Rebuilder: each distinct vid among the
-    * candidate rows gets the engine's verdict
-    * ([[repro.centroid.CentroidIndex.reassignTarget]]) against the
-    * *updated* centroid set. The verdict needs to know whether the vid's
-    * nearest posting already holds a live replica: for the candidates that
-    * would move without one, one action reads every lake row of their vids
-    * and settles the posting table ([[DistIndex.vidRows]]); none runs when
-    * no candidate would move and no row is pending. Those rows, outside the
-    * postings the commit hides and with the rows it writes added, also
-    * give the live rows a move leaves stale. A move CAS-bumps the vid's
-    * version (§4.2.2; losers abort silently) and appends fresh-version rows
-    * through the closure rule (boundary replicas preserved). Old replicas
-    * everywhere become stale via the version map — no in-place deletes,
-    * exactly the paper's replica story.
+  /** The round's reassign pass ([[Reassign.pass]]) on the driver. A vid
+    * that is a candidate from several postings (replicas) is checked from
+    * the one whose centroid is nearest it, ties to the lower pid. The membership
+    * read is one action over every lake row of the would-be movers, which
+    * also settles the posting table ([[DistIndex.vidRows]]), plus the rows
+    * the commit writes; it also gives the live rows a move leaves stale.
     *
     * @param candidates rows homed in the posting they are checked from
     * @param hidden     postings whose lake rows the commit hides
@@ -232,39 +220,20 @@ final class DistRebalancer(idx: DistIndex) {
     * @return the checked and moved counts, the moves' rows, and the posting
     *         of every visible row a move left stale
     */
-  private def applyReassigns(
-      candidates: Seq[PostingRow],
-      hidden: Set[Long],
-      written: Seq[(Long, Long)],
-  ): (RebalanceStats, Seq[PostingRow], Seq[Long]) = {
+  private def applyReassigns(candidates: Seq[PostingRow], hidden: Set[Long],
+                             written: Seq[(Long, Long)]): (RebalanceStats, Seq[PostingRow], Seq[Long]) = {
     import Ordering.Double.TotalOrdering
-    // A vid may be a candidate from several postings (replicas): check the
-    // one closest to its current home — the primary — ties to the lower pid.
     def homeD(c: PostingRow) = idx.centroids.get(c.pid).fold(Double.MaxValue)(VectorMath.sqDist(c.vec, _))
-    val primaries = candidates.groupBy(_.vid).values.map(_.minBy(c => (homeD(c), c.pid))).toSeq
-    def verdict(c: PostingRow, held: Long => Iterator[Int]) =
-      idx.centroids.reassignTarget(c.vec, c.vid, c.pid, idx.versions, held)
-    // The would-be moves, before membership is known.
-    val wouldMove = primaries.filter(verdict(_, _ => Iterator.empty).isDefined)
-    // (pid, version) of every row each would-be mover has once the commit
-    // lands; the commit's own rows are live, so at the vid's version now.
-    val movers = wouldMove.map(_.vid).toSet
-    val lake = idx.vidRows(movers, "lake reassign")
-      .collect { case (vid, pid, version) if !hidden(pid) => vid -> ((pid, version)) }
-    val fresh = written.collect { case (vid, pid) if movers(vid) =>
-      vid -> ((pid, idx.versions.currentVersion(vid)))
+    val cands = candidates.sortBy(c => (homeD(c), c.pid)).map(c => Reassign.Candidate(c.vid, c.vec, c.pid, c.version))
+    val (checked, moves) = Reassign.pass(cands, idx.centroids, idx.versions, cfg) { movers =>
+      val vids = movers.map(_._1).toSet
+      // The commit's own rows are live, so at the vid's version now.
+      val lake = idx.vidRows(vids, "lake reassign")
+        .collect { case (vid, pid, version) if !hidden(pid) => vid -> ((pid, version)) }
+      val fresh = written.collect { case (vid, pid) if vids(vid) => vid -> ((pid, idx.versions.currentVersion(vid))) }
+      (lake ++ fresh).groupMap(_._1)(_._2).withDefaultValue(Nil)
     }
-    val rowsOf: Map[Long, Seq[(Long, Int)]] = (lake ++ fresh).groupMap(_._1)(_._2)
-    val moves = wouldMove.flatMap { c =>
-      val held = rowsOf.getOrElse(c.vid, Nil)
-      verdict(c, pid => held.iterator.collect { case (`pid`, version) => version })
-        .flatMap(_ => idx.versions.tryBumpVersion(c.vid, c.version))
-        .map { newVer =>
-          (idx.closure(c.vec).map(pid => PostingRow(c.vid, pid, newVer, c.vec)),
-            held.collect { case (pid, version) if version == c.version => pid })
-        }
-    }
-    (RebalanceStats(reassignChecked = primaries.size, reassignMoved = moves.size),
-      moves.flatMap(_._1), moves.flatMap(_._2))
+    (RebalanceStats(reassignChecked = checked, reassignMoved = moves.size),
+      moves.flatMap(m => m.targets.map(PostingRow(m.c.vid, _, m.version, m.c.vec))), moves.flatMap(_.staled))
   }
 }

@@ -5,7 +5,7 @@ import scala.collection.mutable
 
 import repro.centroid.{BruteForceCentroidIndex, CentroidIndex}
 import repro.cluster.{HierarchicalBuild, PostingSplit}
-import repro.core.{Lire, LireConfig, PostingScan, VectorMath, VersionMap}
+import repro.core.{Lire, LireConfig, PostingScan, Reassign, VectorMath, VersionMap}
 import repro.storage.{BlockController, IoDelta, VectorRecord}
 
 /** Counters the benches report; they map to the paper's §5.2 observations
@@ -42,9 +42,10 @@ final case class SearchResult(ids: Seq[Long], cost: OpCost)
   *
   * The paper runs the Rebuilder on background threads; here jobs queue up
   * and [[drainJobs]] runs them deterministically (the feed-forward pipeline
-  * with an explicit clock). Setting `rebalanceEnabled = false` turns the
-  * engine into the paper's SPANN+ baseline: appends happen, split/merge/
-  * reassign never do.
+  * with an explicit clock). A split or merge queues one reassign job, the
+  * [[Reassign.pass]] over its candidates. Setting `rebalanceEnabled =
+  * false` turns the engine into the paper's SPANN+ baseline: appends
+  * happen, split/merge/reassign never do.
   */
 final class SpFreshEngine(
     val dim: Int,
@@ -65,14 +66,13 @@ final class SpFreshEngine(
   sealed trait Job
   private final case class SplitJob(pid: Long) extends Job
   private final case class MergeJob(pid: Long) extends Job
-  private final case class ReassignJob(vid: Long, vec: Array[Float], fromPid: Long, expectedVersion: Int)
-      extends Job
+  private final case class ReassignJob(cands: Seq[Reassign.Candidate]) extends Job
 
   private val jobs = mutable.Queue.empty[Job]
   // Dedupe sets: re-enqueueing a split for a posting that already has one
-  // pending (every append past the limit would) or a reassign for the same
-  // (vid, version) (overlapping splits flag the same candidates) only wastes
-  // Rebuilder cycles — the first queued job handles it.
+  // pending (every append past the limit would) or a reassign check of the
+  // same (vid, version) (overlapping splits flag the same candidates) only
+  // wastes Rebuilder cycles — the first queued job handles it.
   private val pendingSplits = mutable.Set.empty[Long]
   private val pendingReassigns = mutable.Set.empty[(Long, Int)]
   private var nextPid = 0L
@@ -92,8 +92,14 @@ final class SpFreshEngine(
   private def enqueueMerge(pid: Long): Unit =
     if (pendingMerges.add(pid)) jobs.enqueue(MergeJob(pid))
 
-  private def enqueueReassign(vid: Long, vec: Array[Float], fromPid: Long, ver: Int): Unit =
-    if (pendingReassigns.add((vid, ver))) jobs.enqueue(ReassignJob(vid, vec, fromPid, ver))
+  /** One reassign job per split or merge event, over its records homed in
+    * the posting they are checked from, at the vid's version now.
+    */
+  private def enqueueReassign(homed: Seq[(VectorRecord, Long)]): Unit = {
+    val cands = homed.map { case (r, home) => Reassign.Candidate(r.vid, r.vec, home, versions.currentVersion(r.vid)) }
+      .filter(c => pendingReassigns.add((c.vid, c.version)))
+    if (cands.nonEmpty) jobs.enqueue(ReassignJob(cands))
+  }
 
   private def freshPid(): Long = { val p = nextPid; nextPid += 1; p }
 
@@ -134,27 +140,20 @@ final class SpFreshEngine(
 
   // ------------------------------------------------------ foreground updater
 
-  /** The closure-assignment posting set of a vector (SPANN §3.1): the
-    * nearest posting plus any whose centroid is within (1+ε) of the nearest
-    * distance, capped at `maxReplicas`. Inserts and reassigns both write
-    * through this rule so boundary vectors keep their replicas (§5.2 reports
-    * 5.47 replicas/vector, "similar to the index built statically").
-    */
-  private def closurePids(vec: Array[Float]): Seq[Long] =
-    Lire.closure(centroids.nearest(vec, cfg.maxReplicas), cfg.replicaEpsilon)
-
-  /** Insert (§4.1 Updater): append to the closure posting set, nearest
+  /** Insert (§4.1 Updater): append to the closure posting set
+    * ([[Lire.closure]]: the nearest posting plus any whose centroid is
+    * within (1+ε) of the nearest distance, capped at `maxReplicas`), nearest
     * first — §3.2 inserts "following the original SPANN index design",
     * whose assignment replicates boundary vectors; this is how §5.2's
     * replica census stays "similar to the index built statically".
-    * On well-separated data the closure set degenerates to the single
-    * nearest posting.
+    * Reassign moves write through the same rule. On well-separated data the
+    * closure set degenerates to the single nearest posting.
     */
   def insert(vid: Long, vec: Array[Float]): OpCost = {
     stats.inserts += 1
     val d0 = centroids.distanceComputations
     val (_, io) = store.io.measure {
-      val targets = closurePids(vec)
+      val targets = Lire.closure(centroids.nearest(vec, cfg.maxReplicas), cfg.replicaEpsilon)
       require(targets.nonEmpty, "insert into an empty index — call buildInitial first")
       val version = versions.register(vid)
       targets.foreach { pid =>
@@ -212,12 +211,6 @@ final class SpFreshEngine(
     SearchResult(ArraySeq.unsafeWrapArray(ids), OpCost(io, centroids.distanceComputations - d0))
   }
 
-  /** Block-read cost of a query probing `probes` postings — the IOPS proxy
-    * used by the stress bench without paying for the scan itself.
-    */
-  def probeCost(q: Array[Float], probes: Int): Long =
-    centroids.nearest(q, probes).map { case (pid, _) => store.blockCount(pid).toLong }.sum
-
   // ------------------------------------------------------- local rebuilder
 
   /** Run queued background jobs (split → reassign → cascading splits) to
@@ -230,7 +223,7 @@ final class SpFreshEngine(
       jobs.dequeue() match {
         case SplitJob(pid)   => runSplit(pid)
         case MergeJob(pid)   => runMerge(pid)
-        case ReassignJob(vid, vec, fromPid, ver) => runReassign(vid, vec, fromPid, ver)
+        case ReassignJob(cands) => runReassign(cands)
       }
       n += 1
     }
@@ -258,9 +251,8 @@ final class SpFreshEngine(
     // Neighbor postings are chosen by proximity to the *old* centroid before
     // it disappears (§3.3: "selecting several A_o's nearest postings").
     val neighbors =
-      if (cfg.reassignRange > 0)
-        centroids.nearest(oldC, cfg.reassignRange + 1).map(_._1).filterNot(_ == pid).take(cfg.reassignRange)
-      else Seq.empty
+      if (cfg.reassignRange == 0) Nil
+      else Reassign.range(centroids.nearest(oldC, cfg.reassignRange + 1).map(_._1), Set(pid), cfg)
 
     val p0 = freshPid(); val p1 = freshPid()
     store.put(p0, split.half0)
@@ -270,20 +262,12 @@ final class SpFreshEngine(
     centroids.remove(pid)
     store.delete(pid)
 
-    if (reassignEnabled) {
-      // Condition 1 and the far-half rule: vectors of the split posting itself.
-      Seq(split.cand0 -> p0, split.cand1 -> p1).foreach { case (cands, home) =>
-        cands.foreach(rec => enqueueReassign(rec.vid, rec.vec, home, versions.currentVersion(rec.vid)))
-      }
-      // Condition 2: vectors in the reassign range.
-      val newCs = Seq(split.c0, split.c1)
-      neighbors.foreach { nb =>
-        liveRecords(store.get(nb)).foreach { rec =>
-          if (Lire.condition2(rec.vec, oldC, newCs))
-            enqueueReassign(rec.vid, rec.vec, nb, versions.currentVersion(rec.vid))
-        }
-      }
-    }
+    // Condition 1 and the far-half rule: vectors of the split posting
+    // itself; condition 2: vectors in the reassign range.
+    if (reassignEnabled) enqueueReassign(split.cand0.map(_ -> p0) ++ split.cand1.map(_ -> p1) ++
+      neighbors.flatMap { nb =>
+        Reassign.rangeCandidates(liveRecords(store.get(nb)), Seq(oldC -> Seq(split.c0, split.c1))).map(_ -> nb)
+      })
   }
 
   private def runMerge(pid: Long): Unit = {
@@ -302,40 +286,30 @@ final class SpFreshEngine(
     centroids.remove(pid)
     store.delete(pid)
     // Only the deleted posting's vectors need a reassign check (§3.3).
-    if (reassignEnabled) live.foreach { rec =>
-      enqueueReassign(rec.vid, rec.vec, target, versions.currentVersion(rec.vid))
-    }
+    if (reassignEnabled) enqueueReassign(live.map(_ -> target))
     if (rebalanceEnabled && Lire.needsSplit(store.length(target), cfg))
       enqueueSplit(target)
   }
 
-  private def runReassign(vid: Long, vec: Array[Float], fromPid: Long, expectedVersion: Int): Unit = {
-    pendingReassigns.remove((vid, expectedVersion))
-    stats.reassignChecked += 1
-    // Stale candidate (concurrent reassign won, or deleted): abort (§4.2.2).
-    if (versions.currentVersion(vid) != expectedVersion || versions.isDeleted(vid)) {
-      stats.reassignAborted += 1
-      return
+  /** One event's reassign pass ([[Reassign.pass]]). Its membership read
+    * reads each would-be mover's nearest posting once, however many movers
+    * share it. A move is appended to its closure postings; one that fills
+    * a posting past the limit enqueues a cascade split.
+    */
+  private def runReassign(cands: Seq[Reassign.Candidate]): Unit = {
+    cands.foreach(c => pendingReassigns.remove((c.vid, c.version)))
+    val (checked, moves) = Reassign.pass(cands, centroids, versions, cfg) { movers =>
+      val read = movers.map(_._2).distinct.map(pid => pid -> store.get(pid)).toMap
+      val bestOf = movers.toMap
+      vid => { val pid = bestOf(vid); read(pid).collect { case r if r.vid == vid => (pid, r.version) } }
     }
-    // Final NPA check (§3.3 false-positive elimination): move only if the
-    // nearest posting is a strict improvement over the current home and
-    // does not already hold a live replica (read only for such a posting).
-    val replicaVersions = (pid: Long) => store.get(pid).iterator.filter(_.vid == vid).map(_.version)
-    if (centroids.reassignTarget(vec, vid, fromPid, versions, replicaVersions).isEmpty) {
-      stats.reassignAborted += 1
-      return
-    }
-    versions.tryBumpVersion(vid, expectedVersion) match {
-      case None => stats.reassignAborted += 1 // CAS lost (§4.2.2)
-      case Some(newVer) =>
-        stats.reassignExecuted += 1
-        // Write through the closure rule so the moved vector keeps its
-        // boundary replicas; all old replicas are stale via the version bump.
-        closurePids(vec).foreach { pid =>
-          store.append(pid, VectorRecord(vid, newVer, vec))
-          if (rebalanceEnabled && Lire.needsSplit(store.length(pid), cfg) && enqueueSplit(pid))
-            stats.cascadeSplits += 1
-        }
+    stats.reassignChecked += checked
+    stats.reassignExecuted += moves.size
+    stats.reassignAborted += checked - moves.size
+    for (m <- moves; pid <- m.targets) {
+      store.append(pid, VectorRecord(m.c.vid, m.version, m.c.vec))
+      if (rebalanceEnabled && Lire.needsSplit(store.length(pid), cfg) && enqueueSplit(pid))
+        stats.cascadeSplits += 1
     }
   }
 

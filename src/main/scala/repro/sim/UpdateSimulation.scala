@@ -10,7 +10,9 @@ import repro.metrics.LatencyModel
 
 /** One epoch's worth of the metrics the paper's Fig 7 time series plots:
   * search tail latency (modelled from counted I/O), recall, insert latency
-  * and throughput, resident-memory model, and rebalance activity.
+  * and throughput, resident-memory model, and rebalance activity. A
+  * cluster engine's last epoch also counts §5.2's replica census: the mean
+  * number of live on-disk replicas per live vector.
   */
 final case class EpochMetrics(
     epoch: Int,
@@ -26,6 +28,7 @@ final case class EpochMetrics(
     splits: Long,
     merges: Long,
     reassigns: Long,
+    replicas: Option[Double] = None,
 )
 
 /** Workload-A/B/C shaped simulation (§5.1): a base index, then `epochs`
@@ -120,6 +123,7 @@ object UpdateSimulation {
         splits = e.stats.splitsExecuted - prevSplits,
         merges = e.stats.merges - prevMerges,
         reassigns = e.stats.reassignExecuted - prevReassigns,
+        replicas = Option.when(ep == cfg.epochs)(e.meanReplicas()),
       )
       prevSplits = e.stats.splitsExecuted
       prevMerges = e.stats.merges

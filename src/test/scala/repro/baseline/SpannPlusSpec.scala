@@ -40,8 +40,9 @@ class SpannPlusSpec extends SparkSpec {
     updates.foreach(v => fresh.insert(v.id, v.vec))
     fresh.drainJobs()
 
-    val q = mix.centers.head
-    assert(plus.probeCost(q, 4) > fresh.probeCost(q, 4),
+    // Blocks of the four postings a query at the hot center probes.
+    def probeCost(e: SpFreshEngine) = e.centroids.nearest(mix.centers.head, 4).map(p => e.store.blockCount(p._1)).sum
+    assert(probeCost(plus) > probeCost(fresh),
       "append-only postings must cost more blocks to probe in the hot region")
   }
 

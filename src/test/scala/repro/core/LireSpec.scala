@@ -121,15 +121,31 @@ class LireSpec extends SparkSpec {
     idx
   }
 
-  /** The verdict for vector 1 at `v`, at version `ver` in the version map,
-    * whose replicas' versions by posting are `held`.
+  /** One [[Reassign.pass]] over `cands` whose reader knows the replica
+    * versions `held` by (vid, pid): the checked count, the moves, and the
+    * would-be movers of each reader call.
+    */
+  private def pass(idx: BruteForceCentroidIndex, versions: VersionMap, cands: Seq[Reassign.Candidate],
+                   held: Map[(Long, Long), Seq[Int]] = Map.empty) = {
+    val asked = scala.collection.mutable.ArrayBuffer.empty[Seq[(Long, Long)]]
+    val (checked, moves) = Reassign.pass(cands, idx, versions, cfg) { movers =>
+      asked += movers
+      vid => held.toSeq.collect { case ((`vid`, pid), vers) => vers.map(pid -> _) }.flatten
+    }
+    (checked, moves, asked.toSeq)
+  }
+
+  /** The pass's verdict for vector 1 at `v` homed in `fromPid`, at version
+    * `ver` in the version map, whose replicas' versions by posting are
+    * `held`: the posting it moves to, the nearest of its closure postings.
     */
   private def verdict(idx: BruteForceCentroidIndex, v: Float, fromPid: Long,
                       held: Map[Long, Seq[Int]] = Map.empty, ver: Int = 0): Option[Long] = {
     val versions = new VersionMap
     versions.register(1L)
     (0 until ver).foreach(i => versions.tryBumpVersion(1L, i))
-    idx.reassignTarget(Array(v), 1L, fromPid, versions, pid => held.getOrElse(pid, Nil).iterator)
+    val cand = Reassign.Candidate(1L, Array(v), fromPid, ver)
+    pass(idx, versions, Seq(cand), held.map { case (pid, vers) => (1L, pid) -> vers })._2.headOption.map(_.targets.head)
   }
 
   test("reassign verdict: a strictly closer posting takes the vector") {
@@ -172,25 +188,65 @@ class LireSpec extends SparkSpec {
     assert(verdict(idx, 0f, fromPid = 0, held = Map(0L -> Seq(0), 2L -> Seq(0))) == Some(1L))
   }
 
-  test("reassign verdict: a tombstoned vector's replicas are not live") {
+  test("reassign verdict: a tombstoned vector aborts before its verdict") {
+    // Its replicas are not live, and no nearest call or read is made for it.
     val idx = index(0L -> 5f, 1L -> 1f)
     val versions = new VersionMap
     versions.register(1L)
     versions.markDeleted(1L)
-    assert(idx.reassignTarget(Array(0f), 1L, 0L, versions, _ => Iterator(0)) == Some(1L))
+    val comps = idx.distanceComputations
+    val (checked, moves, asked) =
+      pass(idx, versions, Seq(Reassign.Candidate(1L, Array(0f), 0L, 0)), Map((1L, 1L) -> Seq(0)))
+    assert(checked == 1 && moves.isEmpty && asked == Seq(Seq.empty))
+    assert(idx.distanceComputations == comps)
   }
 
-  test("reassign verdict: replicas are looked up only for a closer nearest posting") {
+  test("reassign verdict: a vector whose version moved on since it was read aborts") {
     val idx = index(0L -> 5f, 1L -> 1f)
-    val asked = scala.collection.mutable.ArrayBuffer.empty[Long]
     val versions = new VersionMap
     versions.register(1L)
-    def lookup(pid: Long): Iterator[Int] = { asked += pid; Iterator.empty }
-    assert(idx.reassignTarget(Array(0f), 1L, 1L, versions, lookup).isEmpty) // home is nearest
-    assert(idx.reassignTarget(Array(4.9f), 1L, 0L, versions, lookup).isEmpty) // home is nearest
-    assert(asked.isEmpty)
-    assert(idx.reassignTarget(Array(0f), 1L, 0L, versions, lookup) == Some(1L))
-    assert(asked == Seq(1L))
+    versions.tryBumpVersion(1L, 0)
+    val (checked, moves, asked) = pass(idx, versions, Seq(Reassign.Candidate(1L, Array(0f), 0L, 0)))
+    assert(checked == 1 && moves.isEmpty && asked == Seq(Seq.empty))
+  }
+
+  test("reassign verdict: the reader is called once, with exactly the would-be movers") {
+    val idx = index(0L -> 5f, 1L -> 1f)
+    val versions = new VersionMap
+    (1L to 4L).foreach(versions.register)
+    val cands = Seq(
+      Reassign.Candidate(1L, Array(0f), 1L, 0),   // home is nearest
+      Reassign.Candidate(2L, Array(4.9f), 0L, 0), // home is nearest
+      Reassign.Candidate(3L, Array(0f), 0L, 0),   // posting 1 is closer
+      Reassign.Candidate(4L, Array(0.5f), 0L, 0)) // posting 1 is closer
+    val (checked, moves, asked) = pass(idx, versions, cands, held = Map((4L, 1L) -> Seq(0)))
+    assert(asked == Seq(Seq(3L -> 1L, 4L -> 1L)))
+    assert(checked == 4 && moves.map(_.c.vid) == Seq(3L)) // 4 already has a live replica in 1
+  }
+
+  test("reassign pass: a vid is checked once, from its first candidate") {
+    val idx = index(0L -> 5f, 1L -> 1f)
+    val versions = new VersionMap
+    versions.register(1L)
+    // From posting 1, its nearest, vector 1 stays; from posting 0 it would move.
+    val cands = Seq(Reassign.Candidate(1L, Array(0f), 1L, 0), Reassign.Candidate(1L, Array(0f), 0L, 0))
+    val (checked, moves, asked) = pass(idx, versions, cands)
+    assert(checked == 1 && moves.isEmpty && asked == Seq(Seq.empty))
+    assert(pass(idx, versions, cands.reverse)._2.map(_.c.home) == Seq(0L))
+  }
+
+  test("reassign pass: a move bumps the version, goes to the closure set and stales the old rows") {
+    // Posting 2 is within the closure slack of posting 1 for a vector at 0.
+    val idx = index(0L -> 5f, 1L -> 1f, 2L -> -1.05f)
+    val versions = new VersionMap
+    versions.register(1L)
+    val held = Map((1L, 0L) -> Seq(0), (1L, 1L) -> Seq(), (1L, 3L) -> Seq(0))
+    val (_, moves, _) = pass(idx, versions, Seq(Reassign.Candidate(1L, Array(0f), 0L, 0)), held)
+    val Seq(m) = moves
+    assert(m.version == 1 && versions.currentVersion(1L) == 1)
+    assert(m.targets == Lire.closure(idx.nearest(Array(0f), cfg.maxReplicas), cfg.replicaEpsilon))
+    assert(m.targets == Seq(1L, 2L))
+    assert(m.staled.sorted == Seq(0L, 3L))
   }
 
   // Figure 4 geometry: A (old) splits into A1 (left) and A2 (right).

@@ -108,7 +108,7 @@ class DistIndexSpec extends SparkSpec {
     val membership = idx.postings.select("vid", "pid").collect()
       .groupBy(_.getLong(0)).view.mapValues(_.map(_.getLong(1)).toSet).toMap
     base.foreach { v =>
-      val nearest = idx.nearestPids(v.vec, 1).head
+      val nearest = idx.centroids.nearest(v.vec, 1).head._1
       assert(membership(v.id).contains(nearest), s"vid ${v.id} missing from nearest posting")
     }
   }
@@ -120,7 +120,7 @@ class DistIndexSpec extends SparkSpec {
     val got = idx.postings.filter("vid >= 10000").select("vid", "pid").collect()
       .groupBy(_.getLong(0)).view.mapValues(_.map(_.getLong(1)).toSet).toMap
     ins.foreach { v =>
-      assert(got(v.id).contains(idx.nearestPids(v.vec, 1).head))
+      assert(got(v.id).contains(idx.centroids.nearest(v.vec, 1).head._1))
       assert(got(v.id).size <= cfg.maxReplicas)
     }
   }
@@ -229,7 +229,7 @@ class DistIndexSpec extends SparkSpec {
     val qs = Seq(Array(4f, 0f), Array(0f, 9f), Array(6f, 0.5f))
     val queries = qs.zipWithIndex.map { case (q, i) => (i.toLong, q) }.toDF("qid", "qvec")
     def expected(q: Array[Float], k: Int, probes: Int): Seq[Long] = {
-      val probed = idx.nearestPids(q, probes).toSet
+      val probed = idx.centroids.nearest(q, probes).map(_._1).toSet
       val top = new VectorMath.TopK(k)
       rows.foreach { case (pid, vid, version, vec) =>
         if (probed(pid) && !idx.versions.isStale(vid, version)) top.offerMin(vid, VectorMath.sqDist(q, vec))
@@ -270,7 +270,8 @@ class DistIndexSpec extends SparkSpec {
     def compiled = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
     // Two searches whose probes share no posting: the pid sets differ.
     val qs = Seq(base.head.vec, base.maxBy(v => VectorMath.sqDist(v.vec, base.head.vec)).vec)
-    assert(idx.nearestPids(qs(0), 3).toSet.intersect(idx.nearestPids(qs(1), 3).toSet).isEmpty)
+    def probed(q: Array[Float]) = idx.centroids.nearest(q, 3).map(_._1).toSet
+    assert(probed(qs(0)).intersect(probed(qs(1))).isEmpty)
     def search(q: Array[Float]) = idx.search(Seq((0L, q)).toDF("qid", "qvec"), k = 5, probes = 3).collect()
     search(qs(0))
     val beforePids = compiled

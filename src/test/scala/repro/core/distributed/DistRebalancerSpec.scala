@@ -35,7 +35,7 @@ class DistRebalancerSpec extends SparkSpec {
     val rows = idx.postings.filter(idx.liveUdf(col("vid"), col("version")))
       .select("pid", "vid", "vec").collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Float](2).toArray)).toSeq
-    val inv = LireInvariants.check(rows, v => idx.nearestPids(v, 1).head, cfg.splitLimit,
+    val inv = LireInvariants.check(rows, v => idx.centroids.nearest(v, 1).head._1, cfg.splitLimit,
       idx.versions.liveIds)
     assert(inv.oversized.isEmpty, s"oversized postings after rebalance: ${inv.oversized}")
     assert(inv.missing.isEmpty, s"live vectors without a live replica: ${inv.missing}")

@@ -7,6 +7,7 @@ import repro.{LireInvariants, SparkSpec}
 import repro.centroid.CentroidIndex
 import repro.core.{LireConfig, VectorMath}
 import repro.data.{GroundTruth, VectorGen}
+import repro.storage.{BlockController, IoDelta, VectorRecord}
 
 /** The single-node SPFresh engine: build, insert/delete, search recall,
   * split/merge/reassign behavior, NPA maintenance, and §3.4 convergence.
@@ -147,40 +148,45 @@ class SpFreshEngineSpec extends SparkSpec {
     }
   }
 
-  /** A hand-made 2-D engine whose one split flags one vector (id 999) for
-    * reassignment. Posting 0 (centroid at the origin) holds 20 vectors near
-    * (-1, 0), 20 near (1, 0) and vector 999 at (0, 0.5); posting 1
-    * (centroid (0, 0.6)) holds five vectors near its centroid, plus the
-    * replicas of vector 999 at the versions `inPosting1`. Vector 999 is at
-    * version `version`, also its replica in posting 0. An insert at (-1, 0)
-    * overfills posting 0; its split leaves vector 999 farther from both new
-    * centroids than from the old one, so Eq. 1 flags it, and posting 1 is
-    * its nearest posting.
+  /** A hand-made 2-D engine whose one split flags the vectors `flagged`
+    * for reassignment. Posting 0 (centroid at the origin) holds 20 vectors
+    * near (-1, 0), 20 near (1, 0) and the flagged vectors near (0, 0.5);
+    * posting 1 (centroid (0, 0.6)) holds five vectors near its centroid,
+    * plus replicas of each flagged vector at the versions `inPosting1`.
+    * The flagged vectors are at version `version`, also their replicas in
+    * posting 0. An insert at (-1, 0) overfills posting 0; its split leaves
+    * each flagged vector farther from both new centroids than from the old
+    * one, so Eq. 1 flags it, and posting 1 is its nearest posting. Returns
+    * the drained engine and the block I/O of the split's reassign job.
     */
-  private def handMadeSplit(version: Int, inPosting1: Seq[Int]): SpFreshEngine = {
-    import repro.storage.{BlockController, VectorRecord}
-    val handCfg = LireConfig(splitLimit = 41, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
+  private def handMadeSplit(version: Int, inPosting1: Seq[Int],
+                            flagged: Seq[Long] = Seq(999L)): (SpFreshEngine, IoDelta) = {
+    val handCfg = LireConfig(splitLimit = 40 + flagged.size, mergeThreshold = 2, reassignRange = 4,
+      searchProbes = 4)
     val sides = (0 until 40).map { i =>
       VectorRecord(i.toLong, 0, Array(if (i < 20) -1f else 1f, (i % 20 - 10) * 0.01f))
     }
     val near1 = (0 until 5).map(i => VectorRecord(100L + i, 0, Array((i - 2) * 0.05f, 0.6f)))
-    val probe = Array(0f, 0.5f)
+    val probes = flagged.zipWithIndex.map { case (vid, i) => VectorRecord(vid, version, Array(i * 0.02f, 0.5f)) }
     val store = new BlockController(2)
-    store.put(0L, sides :+ VectorRecord(999L, version, probe))
-    store.put(1L, near1 ++ inPosting1.map(VectorRecord(999L, _, probe)))
+    store.put(0L, sides ++ probes)
+    store.put(1L, near1 ++ probes.flatMap(p => inPosting1.map(v => p.copy(version = v))))
     val e = new SpFreshEngine(2, handCfg, attachedStore = Some(store))
     e.restoreCentroids(Map(0L -> Array(0f, 0f), 1L -> Array(0f, 0.6f)), 2L)
     (sides ++ near1).foreach(r => e.versions.register(r.vid))
-    e.versions.register(999L)
-    (0 until version).foreach(v => e.versions.tryBumpVersion(999L, v))
+    flagged.foreach { vid =>
+      e.versions.register(vid)
+      (0 until version).foreach(v => e.versions.tryBumpVersion(vid, v))
+    }
     e.insert(500L, Array(-1f, 0f))
-    e.drainJobs()
-    assert(e.stats.splitsExecuted == 1 && e.stats.reassignChecked == 1, e.stats.toString)
-    e
+    assert(e.drainJobs(max = 1) == 1 && e.pendingJobs == 1) // the split, which queues one reassign job
+    val (_, io) = store.io.measure(e.drainJobs())
+    assert(e.stats.splitsExecuted == 1 && e.stats.reassignChecked == flagged.size, e.stats.toString)
+    (e, io)
   }
 
   test("reassign leaves a vector whose nearest posting holds its live replica") {
-    val e = handMadeSplit(version = 0, inPosting1 = Seq(0))
+    val (e, _) = handMadeSplit(version = 0, inPosting1 = Seq(0))
     assert(e.versions.currentVersion(999L) == 0, "a vector NPA already serves was moved")
     assert(e.stats.reassignExecuted == 0 && e.stats.reassignAborted == 1)
     assertInvariants(e)
@@ -188,12 +194,20 @@ class SpFreshEngineSpec extends SparkSpec {
 
   test("reassign moves a vector whose nearest posting holds no live replica") {
     Seq(0 -> Seq.empty[Int], 1 -> Seq(0)).foreach { case (version, inPosting1) =>
-      val e = handMadeSplit(version, inPosting1)
+      val (e, _) = handMadeSplit(version, inPosting1)
       assert(e.versions.currentVersion(999L) == version + 1, s"not moved with $inPosting1 in posting 1")
       assert(e.stats.reassignExecuted == 1)
       assert(e.store.get(1L).exists(r => r.vid == 999L && r.version == version + 1))
       assertInvariants(e)
     }
+  }
+
+  test("a reassign job reads a nearest posting once for all its movers") {
+    // Both flagged vectors would move to posting 1, which holds a live
+    // replica of each: the job reads posting 1 once and writes nothing.
+    val (e, io) = handMadeSplit(version = 0, inPosting1 = Seq(0), flagged = Seq(998L, 999L))
+    assert(e.stats.reassignAborted == 2)
+    assert(io == IoDelta(reads = e.store.blockCount(1L), writes = 0))
   }
 
   test("re-inserting a deleted id does not revive its old replicas") {
@@ -235,14 +249,6 @@ class SpFreshEngineSpec extends SparkSpec {
     val lo = e.search(q, 10, probes = 2).cost.io.reads
     val hi = e.search(q, 10, probes = 8).cost.io.reads
     assert(hi > lo)
-  }
-
-  test("probeCost equals the blocks of the probed postings") {
-    val (e, _) = fresh(300, seed = 13)
-    val q = VectorGen.queries(mix(13), 1, seed = 43).head
-    val pids = e.centroids.nearest(q, 4).map(_._1)
-    val expect = pids.map(e.store.blockCount(_).toLong).sum
-    assert(e.probeCost(q, 4) == expect)
   }
 
   test("meanReplicas reflects closure replication") {

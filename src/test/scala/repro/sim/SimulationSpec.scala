@@ -25,6 +25,14 @@ class SimulationSpec extends SparkSpec {
     assert(ms.map(_.epoch) == (1 to tiny.epochs))
   }
 
+  test("cluster-engine simulation counts the replica census at its last epoch") {
+    val w = UpdateSimulation.workload(tiny)
+    val ms = UpdateSimulation.runClusterEngine(w, rebalance = true)
+    assert(ms.init.forall(_.replicas.isEmpty))
+    val replicas = ms.last.replicas.get
+    assert(replicas >= 1.0 && replicas <= tiny.lire.maxReplicas, s"implausible replica mean: $replicas")
+  }
+
   test("simulation metrics are within sane ranges") {
     val w = UpdateSimulation.workload(tiny)
     val ms = UpdateSimulation.runClusterEngine(w, rebalance = true)
