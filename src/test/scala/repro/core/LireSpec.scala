@@ -189,7 +189,7 @@ class LireSpec extends SparkSpec {
   }
 
   test("reassign verdict: a tombstoned vector aborts before its verdict") {
-    // Its replicas are not live, and no nearest call or read is made for it.
+    // Step 2 aborts it: no nearest call, and no read of its replicas.
     val idx = index(0L -> 5f, 1L -> 1f)
     val versions = new VersionMap
     versions.register(1L)
