@@ -1,7 +1,6 @@
 package repro.core.distributed
 
-import java.nio.channels.FileChannel
-import java.nio.file.{Files, Path, Paths, StandardCopyOption, StandardOpenOption}
+import java.nio.file.{Files, Path, Paths, StandardCopyOption}
 
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
@@ -36,14 +35,13 @@ object PostingRow {
   */
 final case class PostingMeta(generation: Int, raw: Long, live: Long)
 
-/** What one commit does to the posting table: `dropped` postings leave it,
-  * `rewritten` ones restart at this commit (their older rows are hidden),
-  * then every row the commit writes counts once, raw and live, in the
-  * posting `written` lists for it, and every visible row that stops being
-  * live leaves the live count of the posting `staled` lists for it.
+/** What one commit does to the posting table besides its rows: `dropped`
+  * postings leave it, `rewritten` ones restart at this commit (their older
+  * rows are hidden), then every row the commit writes counts once, raw and
+  * live, in its own posting, and every visible row that stops being live
+  * leaves the live count of the posting `staled` lists for it.
   */
 private[distributed] final case class TableEdit(
-    written: Seq[Long],
     staled: Seq[Long] = Nil,
     dropped: Set[Long] = Set.empty,
     rewritten: Set[Long] = Set.empty,
@@ -63,10 +61,12 @@ private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)],
   * jobs". The mapping from the paper:
   *
   *  - postings → rows of immutable, append-only Parquet files under
-  *    `rootDir/data`. A commit writes only its new rows, as one new file,
-  *    and then a manifest (file list + driver state) that it renames into
-  *    place atomically, after the transaction log of Delta Lake (Armbrust
-  *    et al., VLDB 2020). Each row stores the commit that wrote it;
+  *    `rootDir/data`. A commit writes only its new rows, which the driver
+  *    already holds, as one new file that the driver writes itself, with
+  *    no Spark job; then a manifest (file list + driver state) that it
+  *    renames into place atomically, after the transaction log of Delta
+  *    Lake (Armbrust et al., VLDB 2020). Each row stores the commit that
+  *    wrote it;
   *  - the Block Controller's block mapping (§4.3) → the driver's posting
   *    table: each posting's *generation* (the commit that last rewrote it)
   *    and its raw and live lengths. A row is visible iff its posting is in
@@ -80,8 +80,9 @@ private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)],
   *    uses;
   *  - Updater → [[insertBatch]]/[[deleteBatch]] (micro-batch epochs — the
   *    dataflow form of the paper's online updates, see DESIGN.md);
-  *  - Local Rebuilder → [[DistRebalancer]], whose split/merge/reassign
-  *    rounds are Catalyst jobs;
+  *  - Local Rebuilder → [[DistRebalancer]], whose split, merge and
+  *    reassign rounds read the lake with Spark jobs and decide on the
+  *    driver;
   *  - Searcher → [[search]]: the driver probes the centroid index, and one
   *    Spark action scans the probed postings with the single-node engine's
   *    [[PostingScan.scan]] into bounded top-k accumulators.
@@ -92,7 +93,8 @@ private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)],
   * their files until a compaction rewrites the visible rows into fresh
   * files, which a commit runs when hidden rows outnumber visible ones or
   * when the file list would pass Spark's parallel-listing threshold; the
-  * files the manifest no longer lists are then deleted.
+  * files the manifest no longer lists are then deleted. Compaction, which
+  * rewrites the lake's own rows, is the one write that runs a Spark job.
   */
 final class DistIndex private[distributed] (
     val spark: SparkSession,
@@ -122,7 +124,7 @@ final class DistIndex private[distributed] (
   private var liveCache = LiveView(-1L, null, null, null)
 
   private def dataDir: Path = Paths.get(rootDir, "data")
-  /** Where Spark writes a commit's files before they move to [[dataDir]]. */
+  /** Where Spark writes a compaction's files before they move to [[dataDir]]. */
   private def stagingDir: Path = Paths.get(rootDir, "_staging")
 
   private[distributed] def freshPid(): Long = { val p = nextPid; nextPid += 1; p }
@@ -174,15 +176,16 @@ final class DistIndex private[distributed] (
     try body finally sc.setLocalProperty(DistIndex.JobDescription, caller)
   }
 
-  /** Commit `rows` (vid, pid, version, vec), each live, as one new data
-    * file (`nFiles` at most), apply `edit` to the posting table, compact
-    * when due, and write the manifest.
+  /** Commit `rows`, each live, as one new data file (`nFiles` contiguous
+    * chunks at most) that the driver writes with no Spark job, apply `edit`
+    * and the rows to the posting table, compact when due, and write the
+    * manifest.
     */
-  private[distributed] def commit(rows: DataFrame, edit: TableEdit, nFiles: Int = 1): Unit = {
+  private[distributed] def commit(rows: Seq[PostingRow], edit: TableEdit = TableEdit(), nFiles: Int = 1): Unit = {
     val seq = commitSeq
-    if (edit.written.nonEmpty) {
-      files ++= labelled("lake commit")(writeFiles(rows, seq, "c", nFiles))
-      fileRows += edit.written.size
+    if (rows.nonEmpty) {
+      files ++= writeRows(rows, seq, nFiles)
+      fileRows += rows.size
       reread()
     }
     edit.dropped.foreach(table.remove)
@@ -191,13 +194,13 @@ final class DistIndex private[distributed] (
       val m = table.getOrElse(pid, PostingMeta(seq, 0, 0))
       table(pid) = m.copy(raw = m.raw + raw, live = m.live + live)
     }
-    edit.written.foreach(add(_, 1, 1))
+    rows.foreach(r => add(r.pid, 1, 1))
     edit.staled.foreach(add(_, 0, -1))
     refresh()
     val visibleRows = table.valuesIterator.map(_.raw).sum
     val compact = fileRows - visibleRows > visibleRows || files.size > listingThreshold
     if (compact) {
-      files = labelled("lake compact")(writeFiles(postings, seq, "compact", fanout)).toVector
+      files = labelled("lake compact")(compactFiles(seq)).toVector
       fileRows = visibleRows
       table.mapValuesInPlace((_, m) => m.copy(generation = seq))
       reread()
@@ -223,35 +226,49 @@ final class DistIndex private[distributed] (
     */
   private def fanout: Int = math.max(1, math.min(spark.sparkContext.defaultParallelism, listingThreshold / 2))
 
-  /** Write `rows` stamped with commit `seq` into at most `nFiles` Parquet
-    * files under [[dataDir]] and return their names. The files and then
-    * the directory are forced to the device, so the manifest that lists
-    * them never outlives them in a crash.
+  /** Write `rows`, in their order and stamped with commit `seq`, on the
+    * driver into `nFiles` contiguous chunks at most, one Parquet file each
+    * under [[dataDir]], and return the files' names. A file a crashed
+    * commit left under the same name is replaced.
     */
-  private def writeFiles(rows: DataFrame, seq: Int, tag: String, nFiles: Int): Seq[String] = {
-    val staging = stagingDir.resolve(s"$seq-$tag")
-    rows.select(col("vid"), col("pid"), col("version"), col("vec"), lit(seq).as("seq"))
-      .coalesce(nFiles).write.mode("overwrite").parquet(staging.toString)
+  private def writeRows(rows: Seq[PostingRow], seq: Int, nFiles: Int): Seq[String] = {
+    Files.createDirectories(dataDir)
+    val names = rows.grouped(math.ceil(rows.size.toDouble / nFiles).toInt).zipWithIndex.map { case (chunk, k) =>
+      val name = f"$seq%06d-c-$k.parquet"
+      LakeFiles.write(dataDir.resolve(name), chunk, seq)
+      name
+    }.toVector
+    sync(names)
+    names
+  }
+
+  /** Rewrite the visible rows stamped with commit `seq` into at most
+    * [[fanout]] Parquet files under [[dataDir]] with one Spark job, and
+    * return the files' names.
+    */
+  private def compactFiles(seq: Int): Seq[String] = {
+    val staging = stagingDir.resolve(s"$seq-compact")
+    postings.select(col("vid"), col("pid"), col("version"), col("vec"), lit(seq).as("seq"))
+      .coalesce(fanout).write.mode("overwrite").parquet(staging.toString)
     Files.createDirectories(dataDir)
     val parts = listDir(staging).filter(_.getFileName.toString.matches("part-.*\\.parquet")).sorted
     val names = parts.zipWithIndex.map { case (p, k) =>
-      val name = f"$seq%06d-$tag-$k.parquet"
+      val name = f"$seq%06d-compact-$k.parquet"
       Files.move(p, dataDir.resolve(name), StandardCopyOption.REPLACE_EXISTING)
       name
     }
-    (names.map(dataDir.resolve) :+ dataDir).foreach(force)
+    sync(names)
     deleteTree(staging)
     names
   }
 
-  /** fsync a file or a directory. */
-  private def force(path: Path): Unit = {
-    val ch = FileChannel.open(path, StandardOpenOption.READ)
-    try ch.force(true) finally ch.close()
-  }
+  /** Force the data files `names` and then [[dataDir]] to the device, so
+    * the manifest that lists them never outlives them in a crash.
+    */
+  private def sync(names: Seq[String]): Unit = (names.map(dataDir.resolve) :+ dataDir).foreach(LakeFiles.force)
 
   /** Delete every data file the manifest does not list, and what crashed
-    * commits left in [[stagingDir]].
+    * compactions left in [[stagingDir]].
     */
   private def vacuum(): Unit = {
     val keep = files.toSet
@@ -365,8 +382,9 @@ final class DistIndex private[distributed] (
   /** Batch insert (the Updater, §4.1): assign each new vector to its
     * closure posting set (SPANN's boundary replication — §3.2 inserts
     * "following the original SPANN index design") against the driver's
-    * centroid index, and append the rows to the lake as one new file. Split
-    * jobs are picked up by the next [[DistRebalancer.run]].
+    * centroid index, and append the rows to the lake as one new file,
+    * which the driver writes with no Spark job. Split jobs are picked up by
+    * the next [[DistRebalancer.run]].
     */
   def insertBatch(vectors: DataFrame): Unit = {
     require(centroids.size > 0, "insertBatch before build")
@@ -380,7 +398,7 @@ final class DistIndex private[distributed] (
       val v = r.getSeq[Float](1).toArray
       closure(v).map(PostingRow(vid, _, version, v))
     }
-    commit(rows.toDF(), TableEdit(written = rows.map(_.pid)))
+    commit(rows)
   }
 
   /** Batch delete: tombstones in the driver version map; physical rows are
@@ -483,8 +501,8 @@ object DistIndex {
   /** Initial balanced build (SPANN §3.1 as a lake job): centroids come from
     * hierarchical balanced clustering on the driver (the paper builds them
     * centrally too — they are the in-DRAM metadata), and so does every
-    * vector's closure-replica assignment; the rows are written one file
-    * per core.
+    * vector's closure-replica assignment; the driver writes the rows in
+    * one file per core, with no Spark job.
     *
     * @param vectors DataFrame (id BIGINT, vec ARRAY<FLOAT>)
     */
@@ -496,7 +514,6 @@ object DistIndex {
       cfg: LireConfig = LireConfig(),
       seed: Long = 0,
   ): DistIndex = {
-    import spark.implicits._
     val idx = new DistIndex(spark, rootDir, dim, cfg)
     val local = vectors.select("id", "vec").collect()
       .map(r => (r.getLong(0), r.getSeq[Float](1).toArray))
@@ -508,7 +525,7 @@ object DistIndex {
 
     // One row per (vector, member posting).
     val rows = local.toSeq.flatMap { case (vid, v) => idx.closure(v).map(PostingRow(vid, _, 0, v)) }
-    idx.commit(rows.toDF(), TableEdit(written = rows.map(_.pid)), idx.fanout)
+    idx.commit(rows, nFiles = idx.fanout)
     new DistRebalancer(idx).run()
     idx
   }

@@ -21,13 +21,14 @@ final case class RebalanceStats(
     reassignMoved + o.reassignMoved)
 }
 
-/** The Local Rebuilder (§4.2) as Spark jobs over the Parquet posting lake.
+/** The Local Rebuilder (§4.2) over the Parquet posting lake: Spark jobs
+  * read the lake, and the driver decides and commits.
   *
   * One `run` executes split → reassign → merge rounds until the index is
   * balanced again. Which postings to split or merge it reads from the
   * lake's posting table, as the paper's rebuilder reads the block mapping's
   * length field (§4.3): no scan of the lake. A split round with oversized
-  * postings runs three one-job actions:
+  * postings runs two one-job actions, and then commits:
   *
   *  1. the split read: one filtered scan, with no shuffle, of the oversized
   *     postings and their reassign ranges, whose live rows the driver
@@ -44,8 +45,10 @@ final case class RebalanceStats(
   *     ([[DistIndex.vidRows]]); none runs when no candidate would move and
   *     no row went stale;
   *  3. the commit of the driver-held rows, as an insert or a merge
-  *     commits: it writes only the round's new rows, the halves under
-  *     their fresh pids and the moves' fresh-version rows. Stale replicas
+  *     commits: the driver writes only the round's new rows, the halves
+  *     under their fresh pids and the moves' fresh-version rows, as one
+  *     Parquet file, with no Spark job, as the paper's rebuilder writes
+  *     back a split's halves as a few blocks (§4.2.1). Stale replicas
   *     await the next GC.
   *
   * The driver so holds each split posting's live rows (a little over
@@ -80,8 +83,8 @@ final class DistRebalancer(idx: DistIndex) {
     * one action reads the live rows of those postings and of each split's
     * reassign range, and the driver splits each oversized posting
     * ([[PostingSplit.split]]), checks the range's rows against Eq. 2 and
-    * commits the rows it holds. Three one-job actions in all: this read,
-    * the reassign pass's membership read and the commit.
+    * commits the rows it holds. Two one-job actions in all, this read and
+    * the reassign pass's membership read; the commit runs no Spark job.
     */
   private def splitRound(): RebalanceStats = {
     val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq.sorted
@@ -159,10 +162,8 @@ final class DistRebalancer(idx: DistIndex) {
     }.groupMap(_._1)(_._2)
     val cand2 = ranges.toSeq.flatMap { case (nbr, sps) => Reassign.rangeCandidates(liveRows.getOrElse(nbr, Nil), sps) }
 
-    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, over, relabeled.map(r => r.vid -> r.pid))
-    val rows = relabeled ++ moves
-    idx.commit(rows.toDF(), TableEdit(written = rows.map(_.pid), staled = staled,
-      dropped = splitPids, rewritten = gcOnly.toSet))
+    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, over, relabeled)
+    idx.commit(relabeled ++ moves, TableEdit(staled = staled, dropped = splitPids, rewritten = gcOnly.toSet))
     RebalanceStats(splits = splits.length, gcOnlySplits = gcOnly.length) + reassigned
   }
 
@@ -201,9 +202,8 @@ final class DistRebalancer(idx: DistIndex) {
       .map(r => r.copy(pid = plan(r.pid)))
 
     // §3.3: vectors from the deleted posting all need a reassign check.
-    val (reassigned, moves, staled) = applyReassigns(movedIn, plan.keySet.toSet, movedIn.map(r => r.vid -> r.pid))
-    val rows = movedIn ++ moves
-    idx.commit(rows.toDF(), TableEdit(written = rows.map(_.pid), staled = staled, dropped = plan.keySet.toSet))
+    val (reassigned, moves, staled) = applyReassigns(movedIn, plan.keySet.toSet, movedIn)
+    idx.commit(movedIn ++ moves, TableEdit(staled = staled, dropped = plan.keySet.toSet))
     RebalanceStats(merges = plan.size) + reassigned
   }
 
@@ -216,12 +216,12 @@ final class DistRebalancer(idx: DistIndex) {
     *
     * @param candidates rows homed in the posting they are checked from
     * @param hidden     postings whose lake rows the commit hides
-    * @param written    (vid, pid) of every row the commit writes, each live
+    * @param written    the rows the commit writes besides the moves, each live
     * @return the checked and moved counts, the moves' rows, and the posting
     *         of every visible row a move left stale
     */
   private def applyReassigns(candidates: Seq[PostingRow], hidden: Set[Long],
-                             written: Seq[(Long, Long)]): (RebalanceStats, Seq[PostingRow], Seq[Long]) = {
+                             written: Seq[PostingRow]): (RebalanceStats, Seq[PostingRow], Seq[Long]) = {
     import Ordering.Double.TotalOrdering
     def homeD(c: PostingRow) = idx.centroids.get(c.pid).fold(Double.MaxValue)(VectorMath.sqDist(c.vec, _))
     val cands = candidates.sortBy(c => (homeD(c), c.pid)).map(c => Reassign.Candidate(c.vid, c.vec, c.pid, c.version))
@@ -230,7 +230,7 @@ final class DistRebalancer(idx: DistIndex) {
       // The commit's own rows are live, so at the vid's version now.
       val lake = idx.vidRows(vids, "lake reassign")
         .collect { case (vid, pid, version) if !hidden(pid) => vid -> ((pid, version)) }
-      val fresh = written.collect { case (vid, pid) if vids(vid) => vid -> ((pid, idx.versions.currentVersion(vid))) }
+      val fresh = written.collect { case r if vids(r.vid) => r.vid -> ((r.pid, idx.versions.currentVersion(r.vid))) }
       (lake ++ fresh).groupMap(_._1)(_._2).withDefaultValue(Nil)
     }
     (RebalanceStats(reassignChecked = checked, reassignMoved = moves.size),

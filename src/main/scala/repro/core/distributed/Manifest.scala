@@ -30,8 +30,9 @@ private[distributed] final case class Manifest(
     pending: Seq[(Long, Int)],
 ) {
 
-  /** Write to a temp file next to `path`, sync it, and rename it over
-    * `path` atomically: a reader sees the old manifest or this one whole.
+  /** Write to a temp file next to `path`, sync it, rename it over `path`
+    * atomically, and sync the directory, so the rename itself survives a
+    * crash: a reader sees the old manifest or this one whole.
     */
   def write(path: Path): Unit = {
     val tmp = path.resolveSibling(path.getFileName.toString + ".tmp")
@@ -58,6 +59,7 @@ private[distributed] final case class Manifest(
       fos.getFD.sync()
     } finally out.close()
     Files.move(tmp, path, StandardCopyOption.ATOMIC_MOVE, StandardCopyOption.REPLACE_EXISTING)
+    LakeFiles.force(path.toAbsolutePath.getParent)
   }
 }
 

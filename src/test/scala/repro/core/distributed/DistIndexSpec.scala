@@ -71,6 +71,46 @@ class DistIndexSpec extends SparkSpec {
     assert(inFile.map(_._1).distinct == ins.map(_.id).sorted)
   }
 
+  test("an insertBatch runs no Spark job") {
+    val (idx, _) = fresh(200)
+    val ins = VectorGen.toDf(spark, VectorGen.draw(mix(), 30, 10000, seed = 5))
+    val before = idx.files.size
+    assert(countJobs(idx.insertBatch(ins))._2 == 0)
+    assert(idx.files.size == before + 1, "the insert compacted, which is a Spark job of its own")
+  }
+
+  test("committed vectors keep their bits, and their order, in the driver's file and after a compaction") {
+    import org.apache.spark.sql.DataFrame
+    import org.apache.spark.sql.functions.col
+    val idx = new DistIndex(spark, Files.createTempDirectory("bitslake").toString, 2, cfg)
+    Seq(Array(0f, 0f), Array(10f, 10f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
+    val subnormal = java.lang.Float.intBitsToFloat(0x00012345)
+    val odd = Seq(Array(-0.0f, 0f), Array(Float.MinPositiveValue, -Float.MinPositiveValue),
+      Array(subnormal, -0.0f), Array(Float.MaxValue, Float.MinValue), Array(0.1f, -1f / 3))
+    val rows = odd.zipWithIndex.map { case (v, i) => PostingRow(i.toLong, 0, 0, v) }
+    val padding = (0 until 10).map(i => PostingRow(100L + i, 1, 0, Array(10f, 10f)))
+    (rows ++ padding).foreach(r => idx.versions.register(r.vid))
+    // Interleaved, so that a writer that reordered the rows would show.
+    val committed = padding.take(3) ++ rows ++ padding.drop(3)
+    LakeChecks.commit(idx, committed)
+    def bits(v: Array[Float]) = v.map(java.lang.Float.floatToRawIntBits).toSeq
+    def read(df: DataFrame) = df.select("vid", "vec").collect().toSeq
+      .map(r => r.getLong(0) -> bits(r.getSeq[Float](1).toArray))
+    val expected = committed.map(r => r.vid -> bits(r.vec))
+    assert(idx.files.size == 1)
+    assert(read(spark.read.parquet(s"${idx.rootDir}/data/${idx.files.head}")) == expected)
+    // Dropping posting 1 leaves twice as many hidden rows as visible ones:
+    // the commit compacts the lake through Spark.
+    idx.centroids.remove(1L)
+    idx.commit(Nil, TableEdit(dropped = Set(1L)))
+    assert(idx.files.nonEmpty && idx.files.forall(_.contains("-compact-")), idx.files)
+    val odds = expected.filter(_._1 < 100).toMap
+    assert(read(idx.postings).toMap == odds)
+    assert(read(spark.read.schema(PostingRow.fileSchema)
+      .parquet(idx.files.map(f => s"${idx.rootDir}/data/$f"): _*).filter(col("vid") < 100)).toMap == odds)
+    LakeChecks.noUnreferencedFiles(idx)
+  }
+
   test("the posting table equals a lake scan after build, insert, delete and re-insert") {
     val (idx, base) = fresh(200)
     LakeChecks.tableMatchesScan(idx, "after build")
@@ -200,7 +240,6 @@ class DistIndexSpec extends SparkSpec {
     * (4, 0), sits in posting 2.
     */
   private def handMadeLake(): DistIndex = {
-    import spark.implicits._
     val idx = new DistIndex(spark, Files.createTempDirectory("searchlake").toString, 2, cfg)
     Seq(Array(0f, 0f), Array(10f, 0f), Array(0f, 10f), Array(100f, 100f))
       .foreach(c => idx.centroids.insert(idx.freshPid(), c))
@@ -211,12 +250,12 @@ class DistIndexSpec extends SparkSpec {
       PostingRow(1, 0, 0, Array(5f, 0f)), PostingRow(2, 0, 0, Array(4f, 0f)),
       PostingRow(3, 0, 0, Array(4.5f, 0f)), PostingRow(5, 0, 0, Array(5f, 1f)),
       PostingRow(7, 0, 0, Array(0f, 0f)), PostingRow(8, 2, 0, Array(0f, 9f)),
-    ).toDF())
+    ))
     LakeChecks.commit(idx, Seq(
       PostingRow(1, 1, 0, Array(5f, 0f)), PostingRow(2, 1, 1, Array(8f, 0f)),
       PostingRow(4, 1, 0, Array(3f, 1f)), PostingRow(6, 2, 0, Array(4f, 0.5f)),
       PostingRow(9, 3, 0, Array(100f, 100f)),
-    ).toDF())
+    ))
     idx
   }
 

@@ -59,8 +59,24 @@ class DistRebalancerSpec extends SparkSpec {
     assert(idx.rawSizes().values.forall(_ <= cfg.splitLimit),
       s"oversized postings remain: ${idx.rawSizes().values.max}")
     LakeChecks.tableMatchesScan(idx, "after the storm's rebalance")
-    // The splits hide most of the lake's rows: a commit compacted it.
+    // The splits hide rows, but no more than the lake holds visible ones.
     LakeChecks.hiddenWithinVisible(idx)
+    LakeChecks.noUnreferencedFiles(idx)
+  }
+
+  test("the lake's root holds only its manifest and listed data files after an insert, a rebalance and a compaction") {
+    val (idx, _) = fresh(200)
+    LakeChecks.noUnreferencedFiles(idx)
+    idx.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
+    LakeChecks.noUnreferencedFiles(idx)
+    assert(new DistRebalancer(idx).run().splits > 0)
+    LakeChecks.noUnreferencedFiles(idx)
+    // One-vector inserts add a file each, until the file list reaches
+    // Spark's listing threshold and a commit compacts the lake.
+    val more = VectorGen.draw(mix(), 64, 20000, seed = 6).iterator
+    while (!idx.files.exists(_.contains("-compact-")) && more.hasNext)
+      idx.insertBatch(VectorGen.toDf(spark, Seq(more.next())))
+    assert(idx.files.exists(_.contains("-compact-")), s"no compaction: ${idx.files}")
     LakeChecks.noUnreferencedFiles(idx)
   }
 
@@ -116,7 +132,6 @@ class DistRebalancerSpec extends SparkSpec {
     * rows committed to it.
     */
   private def handMadeLake(inPosting1: Boolean): (DistIndex, Seq[PostingRow]) = {
-    import spark.implicits._
     val handCfg = LireConfig(splitLimit = 41, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
     val idx = new DistIndex(spark, Files.createTempDirectory("handlake").toString, 2, handCfg)
     val sides = (0 until 41).map { i =>
@@ -128,7 +143,7 @@ class DistRebalancerSpec extends SparkSpec {
     val rows = sides ++ near1 ++ replica :+ PostingRow(999L, 0L, 0, probe)
     Seq(Array(0f, 0f), Array(0f, 0.6f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
     rows.map(_.vid).distinct.foreach(idx.versions.register)
-    LakeChecks.commit(idx, rows.toDF())
+    LakeChecks.commit(idx, rows)
     (idx, rows)
   }
 
@@ -196,7 +211,6 @@ class DistRebalancerSpec extends SparkSpec {
     * kept a split posting or reached too far would show.
     */
   test("a split round's Eq. 2 candidates equal a brute force over each final reassign range") {
-    import spark.implicits._
     val handCfg = LireConfig(splitLimit = 40, mergeThreshold = 1, reassignRange = 3, searchProbes = 4)
     val idx = new DistIndex(spark, Files.createTempDirectory("eq2lake").toString, 2, handCfg)
     val centroids = IndexedSeq(Array(0f, 0f), Array(0f, 1.5f), Array(0f, -1.6f), Array(0f, 3f), Array(0f, 10f),
@@ -213,7 +227,7 @@ class DistRebalancerSpec extends SparkSpec {
     val rows = blobs(0, 0f) ++ spread ++ dead ++ blobs(2, -1.6f) ++ third ++ far
     rows.foreach(r => idx.versions.register(r.vid))
     dead.foreach(r => idx.versions.markDeleted(r.vid))
-    LakeChecks.commit(idx, rows.toDF())
+    LakeChecks.commit(idx, rows)
     val live = rows.filterNot(r => idx.versions.isStale(r.vid, r.version))
 
     val stats = new DistRebalancer(idx).run(maxRounds = 1)
@@ -248,8 +262,7 @@ class DistRebalancerSpec extends SparkSpec {
   }
 
   test("every job of a rebalance carries its maintenance phase's label") {
-    val labels = Set("lake settle", "lake split", "lake reassign", "lake merge", "lake commit",
-      "lake compact", "lake search")
+    val labels = Set("lake settle", "lake split", "lake reassign", "lake merge", "lake compact", "lake search")
     val sc = spark.sparkContext
     def labelsOf(run: => RebalanceStats): Set[String] = {
       val ((caller, after), descs) = jobDescriptions {
@@ -259,22 +272,23 @@ class DistRebalancerSpec extends SparkSpec {
       }
       assert(after == caller, "the caller's job description was not given back")
       assert(descs.nonEmpty && descs.forall(labels), s"jobs without a phase label: ${descs.filterNot(labels)}")
+      // The driver writes every commit's rows itself.
+      assert(!descs.contains("lake commit"), s"a commit ran a Spark job: $descs")
       descs.toSet
     }
     val (storm, stormBase) = fresh(200)
     storm.deleteBatch(stormBase.take(20).map(_.id))
     storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
-    assert(Set("lake split", "lake reassign", "lake commit").subsetOf(labelsOf(new DistRebalancer(storm).run())))
+    assert(Set("lake split", "lake reassign").subsetOf(labelsOf(new DistRebalancer(storm).run())))
     val (drained, base) = fresh(300, seed = 11)
     val c = mix(11).centers.head
     drained.deleteBatch(base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id))
-    assert(Set("lake settle", "lake merge", "lake commit").subsetOf(labelsOf(new DistRebalancer(drained).run())))
+    assert(Set("lake settle", "lake merge").subsetOf(labelsOf(new DistRebalancer(drained).run())))
   }
 
   test("a split round allocates fresh pids in ascending old-pid order") {
     // Six postings far apart, each one vector over the limit: posting i
     // (centroid (10i, 0)) holds vids 100i until 100i + 41 in two blobs.
-    import spark.implicits._
     val handCfg = LireConfig(splitLimit = 40, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
     val idx = new DistIndex(spark, Files.createTempDirectory("pidlake").toString, 2, handCfg)
     val postings = 0 until 6
@@ -284,7 +298,7 @@ class DistRebalancerSpec extends SparkSpec {
     rows.foreach(r => idx.versions.register(r.vid))
     // Committed in descending pid order, so the split read returns the
     // postings out of order; the pids must not depend on that.
-    LakeChecks.commit(idx, rows.reverse.toDF())
+    LakeChecks.commit(idx, rows.reverse)
     assert(new DistRebalancer(idx).run(maxRounds = 1).splits == postings.length)
     val origins = idx.postings.select("pid", "vid").collect()
       .groupMap(_.getLong(0))(_.getLong(1) / 100).view.mapValues(_.toSet).toMap
@@ -315,7 +329,7 @@ class DistRebalancerSpec extends SparkSpec {
     val (stormStats, stormJobs) = countJobs(new DistRebalancer(storm).run())
     assert(stormStats == RebalanceStats(rounds = 4, splits = 15,
       gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
-    assert(stormJobs == 8)
+    assert(stormJobs == 5)
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 

@@ -4,21 +4,17 @@ import java.nio.file.{Files, Paths}
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, count, lit, sum}
 import org.scalatest.Assertions._
 
 /** Hand-made lakes, and checks of the lake's driver state against its files. */
 object LakeChecks {
 
-  /** Commit hand-made rows (vid, pid, version, vec) to `idx`: one scan
-    * counts them into the posting table.
+  /** Commit hand-made rows to `idx`; a row that is stale by the driver's
+    * version map counts in its posting's raw length only.
     */
-  def commit(idx: DistIndex, rows: DataFrame): Unit = {
-    val counted = rows.select(col("pid"), idx.liveUdf(col("vid"), col("version"))).collect()
-    idx.commit(rows, TableEdit(written = counted.map(_.getLong(0)).toSeq,
-      staled = counted.collect { case r if !r.getBoolean(1) => r.getLong(0) }.toSeq))
-  }
+  def commit(idx: DistIndex, rows: Seq[PostingRow]): Unit =
+    idx.commit(rows, TableEdit(staled = rows.filter(r => idx.versions.isStale(r.vid, r.version)).map(_.pid)))
 
   /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
     * scan of the lake: the ground truth the posting table must equal.
@@ -52,13 +48,15 @@ object LakeChecks {
   }
 
   /** Every file under the lake's root is its manifest or a data file the
-    * manifest lists.
+    * manifest lists: no checksum file beside a data file, and nothing left
+    * behind by a staged write.
     */
   def noUnreferencedFiles(idx: DistIndex): Unit = {
     val root = Paths.get(idx.rootDir)
     val s = Files.walk(root)
     val found = try s.iterator().asScala.filter(Files.isRegularFile(_)).map(root.relativize(_).toString).toSet
       finally s.close()
-    assert(found == idx.files.map(f => s"data/$f").toSet + DistIndex.ManifestName)
+    val listed = idx.files.map(f => s"data/$f").toSet + DistIndex.ManifestName
+    assert(found == listed, s"unreferenced: ${found -- listed}, missing: ${listed -- found}")
   }
 }
