@@ -10,6 +10,9 @@ object Reassign {
   /** A vector flagged for a check: `vid`, read at `version` from `home`. */
   final case class Candidate(vid: Long, vec: Array[Float], home: Long, version: Int)
 
+  /** A live row read from posting `home`, as a candidate at its version. */
+  def homed(r: PostingRecord, home: Long): Candidate = Candidate(r.vid, r.vec, home, r.version)
+
   /** A moved candidate: its new `version`, the closure postings it goes to,
     * and the postings of the reader's rows of it that the move leaves stale.
     */

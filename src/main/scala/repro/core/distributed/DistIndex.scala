@@ -523,8 +523,8 @@ object DistIndex {
     layout.centroids.foreach(c => idx.centroids.insert(idx.freshPid(), c))
     local.foreach { case (vid, _) => idx.versions.register(vid) }
 
-    // One row per (vector, member posting).
-    val rows = local.toSeq.flatMap { case (vid, v) => idx.closure(v).map(PostingRow(vid, _, 0, v)) }
+    // One row per (vector, member posting); the layout's parts are the pids 0, 1, … in order.
+    val rows = local.toSeq.zip(layout.memberships).flatMap { case ((vid, v), ps) => ps.map(PostingRow(vid, _, 0, v)) }
     idx.commit(rows, nFiles = idx.fanout)
     new DistRebalancer(idx).run()
     idx

@@ -2,8 +2,7 @@ package repro.core.distributed
 
 import org.apache.spark.sql.functions._
 
-import repro.cluster.PostingSplit
-import repro.core.{Lire, Reassign, VectorMath}
+import repro.core.{Lire, Reassign, Rebuilder}
 
 /** Totals of one [[DistRebalancer.run]] — the distributed analogue of
   * [[repro.core.engine.EngineStats]].
@@ -30,23 +29,21 @@ final case class RebalanceStats(
   * length field (§4.3): no scan of the lake. A split round with oversized
   * postings runs two one-job actions, and then commits:
   *
-  *  1. the split read: one filtered scan, with no shuffle, of the oversized
-  *     postings and their reassign ranges, whose live rows the driver
-  *     collects. The driver runs each oversized posting through the
-  *     engine's split event ([[PostingSplit.onePerVid]] for GC, then
-  *     [[PostingSplit.split]]: balanced 2-means bisection, the two
-  *     centroids and its Eq. 1 candidates), as the paper's Local Rebuilder
-  *     reads, garbage-collects and bisects a posting in one process
-  *     (§4.2.1). It allocates the fresh pids in ascending old-pid order and
-  *     checks the range postings' live rows against Eq. 2 once it knows the
-  *     new centroids;
+  *  1. the split read of the engine's own split batch
+  *     ([[Rebuilder.splitBatch]]): one filtered scan, with no shuffle, of
+  *     the oversized postings and their reassign ranges, whose live rows
+  *     the driver collects. The batch garbage-collects and bisects each
+  *     oversized posting, allocates the fresh pids in ascending old-pid
+  *     order, updates the centroid index and makes the Eq. 1 and Eq. 2
+  *     candidates, as the engine's split job does for one posting;
   *  2. the membership read of the reassign pass ([[Reassign.pass]]),
   *     which also settles the posting table's live counts
   *     ([[DistIndex.vidRows]]); none runs when no candidate would move and
   *     no row went stale;
   *  3. the commit of the driver-held rows, as an insert or a merge
   *     commits: the driver writes only the round's new rows, the halves
-  *     under their fresh pids and the moves' fresh-version rows, as one
+  *     under their fresh pids, the GC'd postings' live rows and the moves'
+  *     fresh-version rows, as one
   *     Parquet file, with no Spark job, as the paper's rebuilder writes
   *     back a split's halves as a few blocks (§4.2.1). Stale replicas
   *     await the next GC.
@@ -80,91 +77,29 @@ final class DistRebalancer(idx: DistIndex) {
   }
 
   /** One split round over every posting whose raw size is over the limit:
-    * one action reads the live rows of those postings and of each split's
-    * reassign range, and the driver splits each oversized posting
-    * ([[PostingSplit.split]]), checks the range's rows against Eq. 2 and
-    * commits the rows it holds. Two one-job actions in all, this read and
-    * the reassign pass's membership read; the commit runs no Spark job.
+    * the shared split batch ([[Rebuilder.splitBatch]]), seeded by the old
+    * pids, whose one read is one action over the live rows of those
+    * postings and of their reaches. The driver then commits the halves
+    * under their fresh pids, each GC'd posting's live rows under its own,
+    * and the moves of the round's reassign pass. Two one-job actions in
+    * all, this read and the reassign pass's membership read; the commit
+    * runs no Spark job.
     */
   private def splitRound(): RebalanceStats = {
-    val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq.sorted
+    val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq
     if (oversized.isEmpty) return RebalanceStats()
-
-    val over = oversized.toSet
-    val oldCs = oversized.map(pid => pid -> idx.centroids.get(pid).get).toMap
-
-    // The reassign range of a split ([[Reassign.range]]) is the old
-    // centroid's `reassignRange` nearest postings among those not split this
-    // round (their vectors go through Eq. 1). Only oversized postings can split,
-    // so the nearest postings up to the range-th one that is not oversized
-    // hold the range whatever the split events decide.
-    val reach: Map[Long, Seq[Long]] =
-      if (cfg.reassignRange == 0) Map.empty
-      else oldCs.map { case (pid, oldC) =>
-        val near = idx.centroids.nearest(oldC, cfg.reassignRange + oversized.size).map(_._1)
-        val cut = near.indices.filterNot(i => over(near(i))).lift(cfg.reassignRange - 1).fold(near.length)(_ + 1)
-        pid -> near.take(cut)
-      }
-    val inRange = reach.values.flatten.toSet
-
-    // One filtered read brings the live rows of the oversized postings and
-    // of their reassign ranges to the driver, one row per vid and posting
-    // (GC, §4.2.1). A posting with no live row reads nothing: an oversized
-    // one is then left to the merge round.
-    val liveRows: Map[Long, Vector[PostingRow]] =
-      idx.labelled("lake split")(idx.postingsIn("pid", over ++ inRange)
+    val batch = Rebuilder.splitBatch(oversized, idx.centroids, cfg, () => idx.freshPid(), identity) { pids =>
+      val live = idx.labelled("lake split")(idx.postingsIn("pid", pids)
         .filter(idx.liveUdf(col("vid"), col("version")))
-        .as[PostingRow].collect()).toSeq
-        .groupBy(_.pid).view.mapValues(PostingSplit.onePerVid(_)).toMap
-    val withLive = oversized.filter(liveRows.contains)
-    // The split event per oversized posting, seeded by its pid; `None`
-    // when GC alone fixed it, which keeps its pid and centroid.
-    val splits = withLive.flatMap { pid =>
-      PostingSplit.split(liveRows(pid), (_: PostingRow).vec, oldCs(pid), cfg, pid).map(pid -> _)
+        .as[PostingRow].collect()).toSeq.groupBy(_.pid)
+      live.getOrElse(_, Nil)
     }
-    val splitOf = splits.toMap
-    val gcOnly = withLive.filterNot(splitOf.contains)
-
-    // Allocate fresh pids in ascending old-pid order; update the driver
-    // centroid index (§4.1: "update the memory SPTAG index with the new
-    // posting centroids").
-    val newPids: Map[Long, (Long, Long)] =
-      splits.map { case (pid, _) => pid -> ((idx.freshPid(), idx.freshPid())) }.toMap
-    splits.foreach { case (pid, _) => idx.centroids.remove(pid) }
-    splits.foreach { case (pid, sp) =>
-      val (p0, p1) = newPids(pid)
-      idx.centroids.insert(p0, sp.c0)
-      idx.centroids.insert(p1, sp.c1)
-    }
-
-    // The commit writes the halves under their new posting ids (GC-only
-    // rows keep theirs).
-    val relabeled = withLive.flatMap { pid =>
-      splitOf.get(pid).fold[Seq[PostingRow]](liveRows(pid)) { sp =>
-        val (p0, p1) = newPids(pid)
-        sp.half0.map(_.copy(pid = p0)) ++ sp.half1.map(_.copy(pid = p1))
-      }
-    }
-
-    // ---- reassign candidates -------------------------------------------
-    // Condition 1 (Eq. 1) and the far-half rule: the split event's
-    // candidates, homed in the new postings.
-    val cand1 = splits.flatMap { case (pid, sp) =>
-      val (p0, p1) = newPids(pid)
-      sp.cand0.map(_.copy(pid = p0)) ++ sp.cand1.map(_.copy(pid = p1))
-    }
-
-    // Condition 2 (Eq. 2): the live rows of each split's reassign range
-    // that one of its new centroids is at least as close to as its old one.
-    val splitPids = newPids.keySet
-    val ranges = splits.flatMap { case (pid, sp) =>
-      Reassign.range(reach.getOrElse(pid, Nil), splitPids, cfg).map(_ -> (oldCs(pid) -> Seq(sp.c0, sp.c1)))
-    }.groupMap(_._1)(_._2)
-    val cand2 = ranges.toSeq.flatMap { case (nbr, sps) => Reassign.rangeCandidates(liveRows.getOrElse(nbr, Nil), sps) }
-
-    val (reassigned, moves, staled) = applyReassigns(cand1 ++ cand2, over, relabeled)
-    idx.commit(relabeled ++ moves, TableEdit(staled = staled, dropped = splitPids, rewritten = gcOnly.toSet))
-    RebalanceStats(splits = splits.length, gcOnlySplits = gcOnly.length) + reassigned
+    val halves = batch.splits.flatMap(d => d.split.half0.map(_.copy(pid = d.p0)) ++ d.split.half1.map(_.copy(pid = d.p1)))
+    val written = halves ++ batch.gcOnly.flatMap(_._2)
+    val (reassigned, moves, staled) = applyReassigns(batch.candidates, oversized.toSet, written)
+    idx.commit(written ++ moves,
+      TableEdit(staled = staled, dropped = batch.splits.map(_.pid).toSet, rewritten = batch.gcOnly.map(_._1).toSet))
+    RebalanceStats(splits = batch.splits.length, gcOnlySplits = batch.gcOnly.length) + reassigned
   }
 
   /** One merge round over every posting whose live size is under the
@@ -202,30 +137,27 @@ final class DistRebalancer(idx: DistIndex) {
       .map(r => r.copy(pid = plan(r.pid)))
 
     // §3.3: vectors from the deleted posting all need a reassign check.
-    val (reassigned, moves, staled) = applyReassigns(movedIn, plan.keySet.toSet, movedIn)
+    val (reassigned, moves, staled) =
+      applyReassigns(movedIn.map(r => Reassign.homed(r, r.pid)), plan.keySet.toSet, movedIn)
     idx.commit(movedIn ++ moves, TableEdit(staled = staled, dropped = plan.keySet.toSet))
     RebalanceStats(merges = plan.size) + reassigned
   }
 
-  /** The round's reassign pass ([[Reassign.pass]]) on the driver. A vid
-    * that is a candidate from several postings (replicas) is checked from
-    * the one whose centroid is nearest it, ties to the lower pid. The membership
-    * read is one action over every lake row of the would-be movers, which
-    * also settles the posting table ([[DistIndex.vidRows]]), plus the rows
-    * the commit writes; it also gives the live rows a move leaves stale.
+  /** The round's reassign pass ([[Reassign.pass]]) on the driver, over
+    * the candidates in the order the round made them. The membership read
+    * is one action over every lake row of the would-be movers, which also
+    * settles the posting table ([[DistIndex.vidRows]]), plus the rows the
+    * commit writes; it also gives the live rows a move leaves stale.
     *
-    * @param candidates rows homed in the posting they are checked from
+    * @param candidates each homed in the posting it is checked from
     * @param hidden     postings whose lake rows the commit hides
     * @param written    the rows the commit writes besides the moves, each live
     * @return the checked and moved counts, the moves' rows, and the posting
     *         of every visible row a move left stale
     */
-  private def applyReassigns(candidates: Seq[PostingRow], hidden: Set[Long],
+  private def applyReassigns(candidates: Seq[Reassign.Candidate], hidden: Set[Long],
                              written: Seq[PostingRow]): (RebalanceStats, Seq[PostingRow], Seq[Long]) = {
-    import Ordering.Double.TotalOrdering
-    def homeD(c: PostingRow) = idx.centroids.get(c.pid).fold(Double.MaxValue)(VectorMath.sqDist(c.vec, _))
-    val cands = candidates.sortBy(c => (homeD(c), c.pid)).map(c => Reassign.Candidate(c.vid, c.vec, c.pid, c.version))
-    val (checked, moves) = Reassign.pass(cands, idx.centroids, idx.versions, cfg) { movers =>
+    val (checked, moves) = Reassign.pass(candidates, idx.centroids, idx.versions, cfg) { movers =>
       val vids = movers.map(_._1).toSet
       // The commit's own rows are live, so at the vid's version now.
       val lake = idx.vidRows(vids, "lake reassign")

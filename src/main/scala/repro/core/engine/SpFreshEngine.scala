@@ -5,7 +5,7 @@ import scala.collection.mutable
 
 import repro.centroid.{BruteForceCentroidIndex, CentroidIndex}
 import repro.cluster.{HierarchicalBuild, PostingSplit}
-import repro.core.{Lire, LireConfig, PostingScan, Reassign, VectorMath, VersionMap}
+import repro.core.{Lire, LireConfig, PostingScan, Reassign, Rebuilder, VectorMath, VersionMap}
 import repro.storage.{BlockController, IoDelta, VectorRecord}
 
 /** Counters the benches report; they map to the paper's §5.2 observations
@@ -42,10 +42,11 @@ final case class SearchResult(ids: Seq[Long], cost: OpCost)
   *
   * The paper runs the Rebuilder on background threads; here jobs queue up
   * and [[drainJobs]] runs them deterministically (the feed-forward pipeline
-  * with an explicit clock). A split or merge queues one reassign job, the
-  * [[Reassign.pass]] over its candidates. Setting `rebalanceEnabled =
-  * false` turns the engine into the paper's SPANN+ baseline: appends
-  * happen, split/merge/reassign never do.
+  * with an explicit clock). A split job is the lake's split batch
+  * ([[Rebuilder.splitBatch]]) run on one posting. A split or merge queues
+  * one reassign job, the [[Reassign.pass]] over its candidates. Setting
+  * `rebalanceEnabled = false` turns the engine into the paper's SPANN+
+  * baseline: appends happen, split/merge/reassign never do.
   */
 final class SpFreshEngine(
     val dim: Int,
@@ -63,10 +64,7 @@ final class SpFreshEngine(
   val versions = new VersionMap
   val stats = new EngineStats
 
-  sealed trait Job
-  private final case class SplitJob(pid: Long) extends Job
-  private final case class MergeJob(pid: Long) extends Job
-  private final case class ReassignJob(cands: Seq[Reassign.Candidate]) extends Job
+  import SpFreshEngine._
 
   private val jobs = mutable.Queue.empty[Job]
   // Dedupe sets: re-enqueueing a split for a posting that already has one
@@ -92,13 +90,12 @@ final class SpFreshEngine(
   private def enqueueMerge(pid: Long): Unit =
     if (pendingMerges.add(pid)) jobs.enqueue(MergeJob(pid))
 
-  /** One reassign job per split or merge event, over its records homed in
-    * the posting they are checked from, at the vid's version now.
+  /** One reassign job per split or merge event, over its candidates that
+    * no queued job checks yet.
     */
-  private def enqueueReassign(homed: Seq[(VectorRecord, Long)]): Unit = {
-    val cands = homed.map { case (r, home) => Reassign.Candidate(r.vid, r.vec, home, versions.currentVersion(r.vid)) }
-      .filter(c => pendingReassigns.add((c.vid, c.version)))
-    if (cands.nonEmpty) jobs.enqueue(ReassignJob(cands))
+  private def enqueueReassign(cands: Seq[Reassign.Candidate]): Unit = {
+    val fresh = cands.filter(c => pendingReassigns.add((c.vid, c.version)))
+    if (fresh.nonEmpty) jobs.enqueue(ReassignJob(fresh))
   }
 
   private def freshPid(): Long = { val p = nextPid; nextPid += 1; p }
@@ -230,50 +227,32 @@ final class SpFreshEngine(
     n
   }
 
-  /** Live (de-duplicated, current-version) records of a posting. */
-  private def liveRecords(recs: Seq[VectorRecord]): Vector[VectorRecord] =
-    PostingSplit.onePerVid(recs.filter(r => !versions.isStale(r.vid, r.version)))
+  /** A posting's live records as stored, and then one per vid. */
+  private def liveRows(pid: Long): Vector[VectorRecord] = store.get(pid).filter(r => isLive(r.vid, r.version))
+  private def liveRecords(pid: Long): Vector[VectorRecord] = PostingSplit.onePerVid(liveRows(pid))
 
+  /** A split job: [[Rebuilder.splitBatch]] of one posting, whose reader
+    * reads a posting only when the batch asks for its rows; then its writes.
+    * With reassign off, the candidates are dropped, so it reads no range.
+    */
   private def runSplit(pid: Long): Unit = {
     pendingSplits.remove(pid)
-    val oldC = centroids.get(pid).getOrElse(return) // posting vanished: stale job
-    val live = liveRecords(store.get(pid))
-
-    // GC pass (§4.2.1): if pruning stale replicas already fits the limit,
-    // write back and stop — no split needed.
-    val split = PostingSplit.split(live, (_: VectorRecord).vec, oldC, cfg, rnd.nextLong()).getOrElse {
-      stats.gcOnlySplits += 1
-      store.put(pid, live)
-      return
+    val splitCfg = if (reassignEnabled) cfg else cfg.copy(reassignRange = 0)
+    val batch = Rebuilder.splitBatch(Seq(pid), centroids, splitCfg, () => freshPid(), _ => rnd.nextLong())(_ => liveRows)
+    batch.gcOnly.foreach { case (p, live) => stats.gcOnlySplits += 1; store.put(p, live) }
+    batch.splits.foreach { d =>
+      stats.splitsExecuted += 1
+      store.put(d.p0, d.split.half0)
+      store.put(d.p1, d.split.half1)
+      store.delete(d.pid)
     }
-    stats.splitsExecuted += 1
-
-    // Neighbor postings are chosen by proximity to the *old* centroid before
-    // it disappears (§3.3: "selecting several A_o's nearest postings").
-    val neighbors =
-      if (cfg.reassignRange == 0) Nil
-      else Reassign.range(centroids.nearest(oldC, cfg.reassignRange + 1).map(_._1), Set(pid), cfg)
-
-    val p0 = freshPid(); val p1 = freshPid()
-    store.put(p0, split.half0)
-    store.put(p1, split.half1)
-    centroids.insert(p0, split.c0)
-    centroids.insert(p1, split.c1)
-    centroids.remove(pid)
-    store.delete(pid)
-
-    // Condition 1 and the far-half rule: vectors of the split posting
-    // itself; condition 2: vectors in the reassign range.
-    if (reassignEnabled) enqueueReassign(split.cand0.map(_ -> p0) ++ split.cand1.map(_ -> p1) ++
-      neighbors.flatMap { nb =>
-        Reassign.rangeCandidates(liveRecords(store.get(nb)), Seq(oldC -> Seq(split.c0, split.c1))).map(_ -> nb)
-      })
+    if (reassignEnabled) enqueueReassign(batch.candidates)
   }
 
   private def runMerge(pid: Long): Unit = {
     pendingMerges.remove(pid)
     val c = centroids.get(pid).getOrElse(return)
-    val live = liveRecords(store.get(pid))
+    val live = liveRecords(pid)
     if (!Lire.needsMerge(live.length, cfg)) { store.put(pid, live); return } // grew back: GC only
     val near = centroids.nearest(c, 2).map(_._1).filterNot(_ == pid)
     if (near.isEmpty) return // last posting standing
@@ -281,12 +260,12 @@ final class SpFreshEngine(
     stats.merges += 1
     // §3.2: delete the shorter posting and its centroid, append its vectors
     // to the survivor; target centroid is left as-is.
-    val targetLive = liveRecords(store.get(target))
+    val targetLive = liveRecords(target)
     store.put(target, targetLive ++ live)
     centroids.remove(pid)
     store.delete(pid)
     // Only the deleted posting's vectors need a reassign check (§3.3).
-    if (reassignEnabled) enqueueReassign(live.map(_ -> target))
+    if (reassignEnabled) enqueueReassign(live.map(Reassign.homed(_, target)))
     if (rebalanceEnabled && Lire.needsSplit(store.length(target), cfg))
       enqueueSplit(target)
   }
@@ -319,7 +298,7 @@ final class SpFreshEngine(
     * drives balance and latency-distribution metrics.
     */
   def livePostingSizes(): Map[Long, Int] =
-    store.postingIds.map(p => p -> liveRecords(store.get(p)).length).toMap
+    store.postingIds.map(p => p -> liveRecords(p).length).toMap
 
   /** Raw on-disk length of every posting (replicas included). */
   def rawPostingSizes(): Map[Long, Int] =
@@ -358,4 +337,12 @@ final class SpFreshEngine(
     repro.metrics.ResourceModel.clusterIndexBytes(
       centroids.size.toLong, dim, versions.size.toLong,
       store.postingIds.map(store.blockCount))
+}
+
+object SpFreshEngine {
+  /** The Local Rebuilder's queued background jobs. */
+  private sealed trait Job
+  private final case class SplitJob(pid: Long) extends Job
+  private final case class MergeJob(pid: Long) extends Job
+  private final case class ReassignJob(cands: Seq[Reassign.Candidate]) extends Job
 }

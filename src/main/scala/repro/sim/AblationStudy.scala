@@ -1,7 +1,5 @@
 package repro.sim
 
-import scala.collection.mutable
-
 import repro.core.LireConfig
 import repro.core.engine.SpFreshEngine
 import repro.data.{GroundTruth, VectorGen}

@@ -19,7 +19,6 @@ final class IoStats {
 
   def blockReads: Long = reads.sum()
   def blockWrites: Long = writes.sum()
-  def totalIos: Long = blockReads + blockWrites
 
   /** Delta-capture helper: run `f`, return its result plus the block I/Os
     * it issued (single-threaded callers only).

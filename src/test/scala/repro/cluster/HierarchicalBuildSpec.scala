@@ -1,7 +1,5 @@
 package repro.cluster
 
-import scala.util.Random
-
 import repro.SparkSpec
 import repro.core.VectorMath
 import repro.data.VectorGen

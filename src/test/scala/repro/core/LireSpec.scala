@@ -328,6 +328,64 @@ class LireSpec extends SparkSpec {
     }
   }
 
+  /** Six 2-D postings on the y axis, with a reassign range of 2. Postings
+    * 0 (y = 0) and 1 (y = 1.5) each hold 9 live rows in two blobs at
+    * x = ±1 and split; posting 2 (y = 0.7) reads 9 rows, two of them the
+    * same vector, so GC alone fits it. Postings 3 (y = -2), 4 (y = 3.2)
+    * and 5 (y = 10) are not in the batch. Posting 1 is nearer posting 0
+    * than posting 3 is, and posting 0 nearer posting 1 than posting 4 is,
+    * so a range that kept a split posting would show; posting 2 is in
+    * both ranges.
+    */
+  test("split batch: each range skips the postings that split, keeps a GC-only one, and equals Reassign.range") {
+    val batchCfg = LireConfig(splitLimit = 8, mergeThreshold = 1, reassignRange = 2)
+    val ys = IndexedSeq(0f, 1.5f, 0.7f, -2f, 3.2f, 10f)
+    val idx = new BruteForceCentroidIndex
+    ys.indices.foreach(p => idx.insert(p.toLong, Array(0f, ys(p))))
+    def row(pid: Int, i: Int, x: Float, dy: Float) = VectorRecord(100L * pid + i, 0, Array(x, ys(pid) + dy))
+    def blobs(pid: Int) = (0 until 9).map(i => row(pid, i, if (i < 5) -1f else 1f, i * 0.01f))
+    def spread(pid: Int) = (0 until 8).map(i => row(pid, i, -1f + 2f * i / 7, 0f))
+    val stored: Map[Long, Seq[VectorRecord]] = Map(0L -> blobs(0), 1L -> blobs(1), 2L -> (spread(2) :+ spread(2).head),
+      3L -> spread(3), 4L -> spread(4), 5L -> spread(5))
+    val reads = scala.collection.mutable.ArrayBuffer.empty[Set[Long]]
+    val rowsRead = scala.collection.mutable.ArrayBuffer.empty[Long]
+    var nextPid = 6L
+    def freshPid() = { nextPid += 1; nextPid - 1 }
+    val batch = Rebuilder.splitBatch(Seq(2L, 1L, 0L), idx, batchCfg, () => freshPid(), identity) { pids =>
+      reads += pids
+      pid => { rowsRead += pid; stored(pid) }
+    }
+
+    // Fresh pids in ascending old-pid order; GC's dedupe fits posting 2.
+    assert(batch.splits.map(d => (d.pid, d.p0, d.p1)) == Seq((0L, 6L, 7L), (1L, 8L, 9L)))
+    assert(batch.gcOnly.map { case (pid, live) => pid -> live.map(_.vid).sorted } == Seq(2L -> spread(2).map(_.vid)))
+    assert(idx.all.map(_._1).toSet == Set(2L, 3L, 4L, 5L, 6L, 7L, 8L, 9L))
+    batch.splits.foreach { d =>
+      assert(idx.get(d.p0).get.sameElements(d.split.c0) && idx.get(d.p1).get.sameElements(d.split.c1))
+    }
+    // One read, and each posting's rows asked for once.
+    assert(reads.size == 1 && rowsRead.distinct == rowsRead)
+
+    // Each split's range over a brute-force nearest list of the old centroids.
+    val split = Set(0L, 1L)
+    def range(old: Int) = Reassign.range(ys.indices.filterNot(_ == old).map(_.toLong)
+      .sortBy(p => (sqDist(Array(0f, ys(old)), Array(0f, ys(p.toInt))), p)), split, batchCfg)
+    assert(range(0) == Seq(2L, 3L) && range(1) == Seq(2L, 4L))
+    assert(Seq(0, 1).flatMap(range).toSet.subsetOf(reads.head))
+    val newC = batch.splits.map(d => d.pid -> Seq(d.split.c0, d.split.c1)).toMap
+    val eq2 = Seq(0, 1).flatMap { old =>
+      range(old).flatMap(nb => stored(nb).distinctBy(_.vid)
+        .filter(r => Lire.condition2(r.vec, Array(0f, ys(old)), newC(old.toLong))).map(r => (r.vid, nb)))
+    }.toSet
+    val (fromHalves, fromRanges) = batch.candidates.partition(_.home >= 6)
+    assert(fromRanges.map(c => (c.vid, c.home)).toSet == eq2 && fromRanges.size == eq2.size)
+    assert(Seq(2L, 3L, 4L).forall(nb => eq2.exists(_._2 == nb)), s"a range posting with no Eq. 2 candidate: $eq2")
+    // Eq. 1 and the far-half rule, homed in the new halves.
+    assert(fromHalves.map(c => (c.vid, c.home)) == batch.splits.flatMap { d =>
+      d.split.cand0.map(_.vid -> d.p0) ++ d.split.cand1.map(_.vid -> d.p1)
+    })
+  }
+
   test("LireConfig rejects nonsensical parameters") {
     intercept[IllegalArgumentException](LireConfig(splitLimit = 1))
     intercept[IllegalArgumentException](LireConfig(mergeThreshold = 200, splitLimit = 100))

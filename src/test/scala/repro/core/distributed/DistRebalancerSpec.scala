@@ -165,6 +165,22 @@ class DistRebalancerSpec extends SparkSpec {
     assert(idx.postings.filter(col("vid") === 999L && col("pid") === 1L && col("version") === 1).count() == 1)
   }
 
+  test("a split of a posting with no live row garbage-collects it to empty, as the engine's does") {
+    // Posting 0 holds 41 tombstoned rows. With a merge threshold of 0 no
+    // merge folds the emptied posting away.
+    val handCfg = LireConfig(splitLimit = 40, mergeThreshold = 0, reassignRange = 4, searchProbes = 4)
+    val idx = new DistIndex(spark, Files.createTempDirectory("deadlake").toString, 2, handCfg)
+    val dead = (0 until 41).map(i => PostingRow(i.toLong, 0L, 0, Array(if (i < 21) -1f else 1f, (i % 21 - 10) * 0.01f)))
+    val near1 = (0 until 5).map(i => PostingRow(100L + i, 1L, 0, Array((i - 2) * 0.05f, 0.6f)))
+    Seq(Array(0f, 0f), Array(0f, 0.6f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
+    (dead ++ near1).foreach(r => idx.versions.register(r.vid))
+    dead.foreach(r => idx.versions.markDeleted(r.vid))
+    LakeChecks.commit(idx, dead ++ near1)
+    assert(new DistRebalancer(idx).run() == RebalanceStats(rounds = 2, gcOnlySplits = 1))
+    assert(idx.table(0L).raw == 0 && idx.centroids.get(0L).isDefined)
+    LakeChecks.tableMatchesScan(idx, "after the split of the dead posting")
+  }
+
   test("a split round runs one one-job split read and leaves nothing cached") {
     val (idx, _) = handMadeLake(inPosting1 = false)
     val (stats, descs) = jobDescriptions(new DistRebalancer(idx).run())

@@ -1,7 +1,6 @@
 package repro.core.engine
 
 import scala.collection.mutable
-import scala.util.Random
 
 import repro.{LireInvariants, SparkSpec}
 import repro.centroid.CentroidIndex
@@ -208,6 +207,26 @@ class SpFreshEngineSpec extends SparkSpec {
     val (e, io) = handMadeSplit(version = 0, inPosting1 = Seq(0), flagged = Seq(998L, 999L))
     assert(e.stats.reassignAborted == 2)
     assert(io == IoDelta(reads = e.store.blockCount(1L), writes = 0))
+  }
+
+  test("a split of a posting with no live record garbage-collects it to empty") {
+    // Posting 0 holds 40 tombstoned vectors; an insert fills it past the
+    // limit and is deleted before the split job runs.
+    val handCfg = LireConfig(splitLimit = 40, mergeThreshold = 2, reassignRange = 4, searchProbes = 4)
+    val dead = (0 until 40).map(i => VectorRecord(i.toLong, 0, Array(if (i < 20) -1f else 1f, (i % 20 - 10) * 0.01f)))
+    val store = new BlockController(2)
+    store.put(0L, dead)
+    store.put(1L, (0 until 5).map(i => VectorRecord(100L + i, 0, Array((i - 2) * 0.05f, 0.6f))))
+    val e = new SpFreshEngine(2, handCfg, attachedStore = Some(store))
+    e.restoreCentroids(Map(0L -> Array(0f, 0f), 1L -> Array(0f, 0.6f)), 2L)
+    (0L until 40L).foreach { vid => e.versions.register(vid); e.delete(vid) }
+    (100L until 105L).foreach(e.versions.register)
+    e.insert(500L, Array(-1f, 0f))
+    assert(store.length(0L) == 41 && e.pendingJobs == 1)
+    e.delete(500L)
+    e.drainJobs()
+    assert(e.stats.gcOnlySplits == 1 && e.stats.splitsExecuted == 0, e.stats.toString)
+    assert(store.length(0L) == 0 && e.centroids.get(0L).isDefined && e.pendingJobs == 0)
   }
 
   test("re-inserting a deleted id does not revive its old replicas") {

@@ -5,7 +5,7 @@ import java.nio.file.Files
 import repro.SparkSpec
 import repro.core.LireConfig
 import repro.core.engine.SpFreshEngine
-import repro.data.{GroundTruth, VectorGen}
+import repro.data.VectorGen
 
 /** End-to-end crash recovery (§4.4): snapshot + WAL replay over a surviving
   * block device must restore search-equivalent state.
