@@ -41,7 +41,6 @@ final class DiskAnnLite(
 
   def graphSize: Int = vecs.size
   def deltaSize: Int = delta.size
-  def liveSize: Int = vecs.size + delta.size - deleted.size
 
   /** Build the graph over `points` from scratch (also the merge core). */
   def build(points: Seq[(Long, Array[Float])]): Unit = {

@@ -3,9 +3,9 @@ package repro.core
 import repro.centroid.CentroidIndex
 import repro.cluster.{PostingSplit, Split}
 
-/** The Local Rebuilder's split events (§3.2–§3.3, §4.2.1), the same for
-  * both engines: the engine runs a batch of one per split job, the lake one
-  * batch per split round.
+/** The Local Rebuilder's split and merge events (§3.2–§3.3, §4.2.1), the
+  * same for both engines: the engine runs a batch of one per split or merge
+  * job, the lake one batch per split or merge round.
   */
 object Rebuilder {
 
@@ -20,6 +20,14 @@ object Rebuilder {
     * checked from.
     */
   final case class Batch[R](splits: Seq[Done[R]], gcOnly: Seq[(Long, Seq[R])], candidates: Seq[Reassign.Candidate])
+
+  /** One merge event: posting `pid` and its centroid are gone, and its live `rows` go to `target`. */
+  final case class Merge[R](pid: Long, target: Long, rows: Seq[R])
+
+  /** What a merge batch did: its merges in ascending pid order, the GC-only
+    * postings with their live rows, and each merged row homed in its target.
+    */
+  final case class Merges[R](merges: Seq[Merge[R]], gcOnly: Seq[(Long, Seq[R])], candidates: Seq[Reassign.Candidate])
 
   /** Run the split events of the `oversized` postings, as the paper's
     * Local Rebuilder reads, garbage-collects and bisects a posting in one
@@ -73,5 +81,37 @@ object Rebuilder {
       Reassign.rangeCandidates(nbLive, checks.collect { case (`nb`, c) => c }).map(Reassign.homed(_, nb))
     }
     Batch(splits, events.collect { case (pid, None) => pid -> live(pid) }, cand1 ++ cand2)
+  }
+
+  /** Run the merge events of the `undersized` postings (§3.2 Merge, §4.1):
+    *  1. a posting with no centroid, gone since its merge was asked for, is
+    *     skipped, and nothing happens with fewer than two centroids;
+    *  2. one `read` of the batch postings, and GC's dedupe
+    *     ([[PostingSplit.onePerVid]]) of each;
+    *  3. a posting no longer under the merge threshold is GC-only and keeps
+    *     its centroid;
+    *  4. in ascending pid order, each other posting leaves `centroids` and
+    *     goes to its old centroid's nearest remaining posting. A posting an
+    *     earlier merge of the batch chose as its target is skipped (no
+    *     chains). Every target so outlives the batch, and merging stops
+    *     with one centroid left at the least.
+    * Only the merged rows need a reassign check (§3.3).
+    */
+  def mergeBatch[R <: PostingRecord](undersized: Seq[Long], centroids: CentroidIndex, cfg: LireConfig)(
+      read: Set[Long] => Long => Seq[R]): Merges[R] = {
+    val batch = undersized.sorted.filter(centroids.get(_).isDefined)
+    if (batch.isEmpty || centroids.size < 2) return Merges(Nil, Nil, Nil)
+    val rows = read(batch.toSet)
+    val (gcOnly, small) = batch.map(pid => pid -> PostingSplit.onePerVid(rows(pid)))
+      .partition { case (_, live) => !Lire.needsMerge(live.length, cfg) }
+    var merges = Vector.empty[Merge[R]]
+    small.foreach { case (pid, live) =>
+      if (!merges.exists(_.target == pid)) {
+        val c = centroids.get(pid).get
+        centroids.remove(pid)
+        merges :+= Merge(pid, centroids.nearest(c, 1).head._1, live)
+      }
+    }
+    Merges(merges, gcOnly, merges.flatMap(m => m.rows.map(Reassign.homed(_, m.target))))
   }
 }

@@ -25,9 +25,6 @@ final class VersionMap {
   /** Max representable version before the 7-bit counter wraps. */
   val MaxVersion: Int = 127
 
-  private def cell(vid: Long): AtomicInteger =
-    states.computeIfAbsent(vid, _ => new AtomicInteger(0))
-
   /** Register an inserted vector, not deleted, and return the version its
     * replicas must be written at: 0 for a new id; for a known id (a deleted
     * or re-inserted one) its old version + 1, so that none of its old
@@ -58,9 +55,13 @@ final class VersionMap {
     if (s == null) -1 else s.get() >>> 1
   }
 
-  /** Set the deletion bit (tombstone). Idempotent. */
+  /** Set the deletion bit (tombstone). Idempotent. An id the map never
+    * held is already reported deleted and stays untracked, so a delete of
+    * outside input leaves no tombstone behind.
+    */
   def markDeleted(vid: Long): Unit = {
-    val s = cell(vid)
+    val s = states.get(vid)
+    if (s == null) return
     var cur = s.get()
     while ((cur & 1) == 0 && !s.compareAndSet(cur, cur | 1)) cur = s.get()
     if ((cur & 1) == 0) mods.incrementAndGet()

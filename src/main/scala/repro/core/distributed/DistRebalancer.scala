@@ -40,9 +40,9 @@ final case class RebalanceStats(
   *     which also settles the posting table's live counts
   *     ([[DistIndex.vidRows]]); none runs when no candidate would move and
   *     no row went stale;
-  *  3. the commit of the driver-held rows, as an insert or a merge
-  *     commits: the driver writes only the round's new rows, the halves
-  *     under their fresh pids, the GC'd postings' live rows and the moves'
+  *  3. the commit of the driver-held rows, as an insert commits: the
+  *     driver writes only the round's new rows, the halves under their
+  *     fresh pids, the GC'd postings' live rows and the moves'
   *     fresh-version rows, as one
   *     Parquet file, with no Spark job, as the paper's rebuilder writes
   *     back a split's halves as a few blocks (§4.2.1). Stale replicas
@@ -53,7 +53,13 @@ final case class RebalanceStats(
   * its reassign range: `reassignRange` postings of up to `splitLimit` rows
   * each. A rebalance runs no shuffle.
   *
-  * A merge round settles the live counts first if no split round did.
+  * A merge round settles the live counts first if no split round did, then
+  * runs the engine's own merge batch ([[Rebuilder.mergeBatch]]) over every
+  * undersized posting. Its read is the split round's reader over those
+  * postings, and its commit the split round's path: the reassign pass over
+  * the merged rows, then one commit of those rows under their targets and
+  * of the GC'd postings' live rows.
+  *
   * Convergence of the loop is the paper's §3.4 theorem — each round
   * strictly increases the centroid count, bounded by the number of live
   * vectors.
@@ -80,67 +86,62 @@ final class DistRebalancer(idx: DistIndex) {
     * the shared split batch ([[Rebuilder.splitBatch]]), seeded by the old
     * pids, whose one read is one action over the live rows of those
     * postings and of their reaches. The driver then commits the halves
-    * under their fresh pids, each GC'd posting's live rows under its own,
-    * and the moves of the round's reassign pass. Two one-job actions in
-    * all, this read and the reassign pass's membership read; the commit
-    * runs no Spark job.
+    * under their fresh pids and each GC'd posting's live rows under its
+    * own ([[commitRound]]). Two one-job actions in all, this read and the
+    * reassign pass's membership read; the commit runs no Spark job.
     */
   private def splitRound(): RebalanceStats = {
     val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq
     if (oversized.isEmpty) return RebalanceStats()
-    val batch = Rebuilder.splitBatch(oversized, idx.centroids, cfg, () => idx.freshPid(), identity) { pids =>
-      val live = idx.labelled("lake split")(idx.postingsIn("pid", pids)
-        .filter(idx.liveUdf(col("vid"), col("version")))
-        .as[PostingRow].collect()).toSeq.groupBy(_.pid)
-      live.getOrElse(_, Nil)
-    }
+    val batch = Rebuilder.splitBatch(oversized, idx.centroids, cfg, () => idx.freshPid(), identity)(liveRows("lake split"))
     val halves = batch.splits.flatMap(d => d.split.half0.map(_.copy(pid = d.p0)) ++ d.split.half1.map(_.copy(pid = d.p1)))
-    val written = halves ++ batch.gcOnly.flatMap(_._2)
-    val (reassigned, moves, staled) = applyReassigns(batch.candidates, oversized.toSet, written)
-    idx.commit(written ++ moves,
-      TableEdit(staled = staled, dropped = batch.splits.map(_.pid).toSet, rewritten = batch.gcOnly.map(_._1).toSet))
-    RebalanceStats(splits = batch.splits.length, gcOnlySplits = batch.gcOnly.length) + reassigned
+    commitRound(batch.candidates, halves ++ batch.gcOnly.flatMap(_._2),
+      dropped = batch.splits.map(_.pid).toSet, rewritten = batch.gcOnly.map(_._1).toSet) +
+      RebalanceStats(splits = batch.splits.length, gcOnlySplits = batch.gcOnly.length)
   }
 
   /** One merge round over every posting whose live size is under the
-    * threshold (§3.2 Merge). The live sizes are settled first, which takes
-    * an action only when no split round's membership read settled them.
+    * threshold: the shared merge batch ([[Rebuilder.mergeBatch]]), whose
+    * one read is one action over the live rows of those postings. The
+    * driver then commits the merged rows under their targets and each GC'd
+    * posting's live rows under its own ([[commitRound]]). The live sizes
+    * are settled first, which takes an action only when no split round's
+    * membership read settled them.
     */
   private def mergeRound(): RebalanceStats = {
     idx.settle()
     // A posting can be all-stale (size 0 after reassigns): still merge it away.
     val undersized = idx.centroids.all.map(_._1)
-      .filter(p => Lire.needsMerge(idx.table.get(p).fold(0L)(_.live).toInt, cfg)).toSeq.sorted
-    if (undersized.isEmpty || idx.centroids.size < 2) return RebalanceStats()
+      .filter(p => Lire.needsMerge(idx.table.get(p).fold(0L)(_.live).toInt, cfg)).toSeq
+    val batch = Rebuilder.mergeBatch(undersized, idx.centroids, cfg)(liveRows("lake merge"))
+    val moved = batch.merges.flatMap(m => m.rows.map(_.copy(pid = m.target)))
+    commitRound(batch.candidates, moved ++ batch.gcOnly.flatMap(_._2),
+      dropped = batch.merges.map(_.pid).toSet, rewritten = batch.gcOnly.map(_._1).toSet) +
+      RebalanceStats(merges = batch.merges.length)
+  }
 
-    // Plan merges on the driver: each undersized posting leaves the centroid
-    // index and folds into its nearest remaining posting; postings already
-    // used as a target this round are skipped (no chains within a round).
-    val targets = scala.collection.mutable.Set.empty[Long]
-    val plan = scala.collection.mutable.Map.empty[Long, Long]
-    undersized.foreach { pid =>
-      if (!targets(pid) && idx.centroids.size > 1) {
-        val c = idx.centroids.get(pid).get
-        idx.centroids.remove(pid)
-        val target = idx.centroids.nearest(c, 1).head._1
-        plan.update(pid, target)
-        targets += target
-      }
-    }
-    if (plan.isEmpty) return RebalanceStats()
-
-    // The deleted posting's live rows are appended to the target (§3.2);
-    // its stale rows are hidden with it.
-    val movedIn = idx.labelled("lake merge")(idx.postingsIn("pid", plan.keys)
+  /** A round's read: one action, labelled `label`, over the live rows of
+    * `pids`, which the driver collects and groups by posting.
+    */
+  private def liveRows(label: String)(pids: Set[Long]): Long => Seq[PostingRow] = {
+    val live = idx.labelled(label)(idx.postingsIn("pid", pids)
       .filter(idx.liveUdf(col("vid"), col("version")))
-      .as[PostingRow].collect()).toSeq
-      .map(r => r.copy(pid = plan(r.pid)))
+      .as[PostingRow].collect()).toSeq.groupBy(_.pid)
+    live.getOrElse(_, Nil)
+  }
 
-    // §3.3: vectors from the deleted posting all need a reassign check.
-    val (reassigned, moves, staled) =
-      applyReassigns(movedIn.map(r => Reassign.homed(r, r.pid)), plan.keySet.toSet, movedIn)
-    idx.commit(movedIn ++ moves, TableEdit(staled = staled, dropped = plan.keySet.toSet))
-    RebalanceStats(merges = plan.size) + reassigned
+  /** A round's commit: the round's reassign pass over `candidates`
+    * ([[applyReassigns]]), then one commit of the `written` rows and the
+    * moves, which drops the `dropped` postings, restarts the `rewritten`
+    * ones and takes the stale rows off their postings' live counts. A round
+    * that drops and rewrites nothing commits nothing.
+    */
+  private def commitRound(candidates: Seq[Reassign.Candidate], written: Seq[PostingRow],
+                          dropped: Set[Long], rewritten: Set[Long]): RebalanceStats = {
+    if (dropped.isEmpty && rewritten.isEmpty) return RebalanceStats()
+    val (reassigned, moves, staled) = applyReassigns(candidates, dropped ++ rewritten, written)
+    idx.commit(written ++ moves, TableEdit(staled = staled, dropped = dropped, rewritten = rewritten))
+    reassigned
   }
 
   /** The round's reassign pass ([[Reassign.pass]]) on the driver, over

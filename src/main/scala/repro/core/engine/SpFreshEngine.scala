@@ -43,8 +43,9 @@ final case class SearchResult(ids: Seq[Long], cost: OpCost)
   * The paper runs the Rebuilder on background threads; here jobs queue up
   * and [[drainJobs]] runs them deterministically (the feed-forward pipeline
   * with an explicit clock). A split job is the lake's split batch
-  * ([[Rebuilder.splitBatch]]) run on one posting. A split or merge queues
-  * one reassign job, the [[Reassign.pass]] over its candidates. Setting
+  * ([[Rebuilder.splitBatch]]) run on one posting, a merge job its merge
+  * batch ([[Rebuilder.mergeBatch]]). A split or merge queues one reassign
+  * job, the [[Reassign.pass]] over its candidates. Setting
   * `rebalanceEnabled = false` turns the engine into the paper's SPANN+
   * baseline: appends happen, split/merge/reassign never do.
   */
@@ -208,6 +209,13 @@ final class SpFreshEngine(
     SearchResult(ArraySeq.unsafeWrapArray(ids), OpCost(io, centroids.distanceComputations - d0))
   }
 
+  /** The hard latency cut (§5.1) at reproduction scale, as a search's
+    * `blockBudget`: twice the blocks a scan of `probes` postings at the
+    * split limit reads.
+    */
+  def hardCutBlocks(probes: Int): Long =
+    probes * math.ceil(cfg.splitLimit.toDouble / store.vectorsPerBlock).toLong * 2
+
   // ------------------------------------------------------- local rebuilder
 
   /** Run queued background jobs (split → reassign → cascading splits) to
@@ -249,25 +257,22 @@ final class SpFreshEngine(
     if (reassignEnabled) enqueueReassign(batch.candidates)
   }
 
+  /** A merge job: [[Rebuilder.mergeBatch]] of one posting, then its writes.
+    * The target is rewritten as its own live rows, one per vid, plus the
+    * merged ones (§3.2 appends them; the rewrite also GCs the target), and
+    * keeps its centroid. A target filled past the limit enqueues a split.
+    */
   private def runMerge(pid: Long): Unit = {
     pendingMerges.remove(pid)
-    val c = centroids.get(pid).getOrElse(return)
-    val live = liveRecords(pid)
-    if (!Lire.needsMerge(live.length, cfg)) { store.put(pid, live); return } // grew back: GC only
-    val near = centroids.nearest(c, 2).map(_._1).filterNot(_ == pid)
-    if (near.isEmpty) return // last posting standing
-    val target = near.head
-    stats.merges += 1
-    // §3.2: delete the shorter posting and its centroid, append its vectors
-    // to the survivor; target centroid is left as-is.
-    val targetLive = liveRecords(target)
-    store.put(target, targetLive ++ live)
-    centroids.remove(pid)
-    store.delete(pid)
-    // Only the deleted posting's vectors need a reassign check (§3.3).
-    if (reassignEnabled) enqueueReassign(live.map(Reassign.homed(_, target)))
-    if (rebalanceEnabled && Lire.needsSplit(store.length(target), cfg))
-      enqueueSplit(target)
+    val batch = Rebuilder.mergeBatch(Seq(pid), centroids, cfg)(_ => liveRows)
+    batch.gcOnly.foreach { case (p, live) => store.put(p, live) }
+    batch.merges.foreach { m =>
+      stats.merges += 1
+      store.put(m.target, liveRecords(m.target) ++ m.rows)
+      store.delete(m.pid)
+    }
+    if (reassignEnabled) enqueueReassign(batch.candidates)
+    batch.merges.foreach(m => if (Lire.needsSplit(store.length(m.target), cfg)) enqueueSplit(m.target))
   }
 
   /** One event's reassign pass ([[Reassign.pass]]). Its membership read

@@ -97,12 +97,9 @@ object AblationStudy {
     }
     val qs = VectorGen.queries(w.queryMix, cfg.queries, cfg.seed + 9)
     val truths = qs.map(q => GroundTruth.topK(q, w.finalData, cfg.k))
-    // The 10 ms hard cut (§5.1), expressed at reproduction scale: a query
-    // may read at most 2x the blocks a balanced scan of `probes` at-limit
-    // postings would need; beyond that the scan is cut short.
-    val blocksAtLimit = math.ceil(cfg.lire.splitLimit.toDouble / e.store.vectorsPerBlock).toLong
+    // The 10 ms hard cut (§5.1): beyond its budget the scan is cut short.
     probeSweep.map { probes =>
-      val budget = probes * blocksAtLimit * 2
+      val budget = e.hardCutBlocks(probes)
       val (lats, recs) = qs.zip(truths).map { case (q, truth) =>
         val r = e.search(q, cfg.k, probes, blockBudget = budget)
         val ms = LatencyModel.searchMs(r.cost.io.reads, r.cost.distComps)
@@ -129,8 +126,7 @@ object AblationStudy {
       val lire = cfg.lire.copy(reassignRange = range)
       val e = new SpFreshEngine(cfg.dim, lire, seed = cfg.seed)
       applyUpdates(e, w)
-      val blocksAtLimit = math.ceil(cfg.lire.splitLimit.toDouble / e.store.vectorsPerBlock).toLong
-      val budget = probes * blocksAtLimit * 2
+      val budget = e.hardCutBlocks(probes)
       val qs = VectorGen.queries(w.queryMix, cfg.queries, cfg.seed + 9)
       val recs = qs.map { q =>
         GroundTruth.recall(e.search(q, cfg.k, probes, blockBudget = budget).ids,

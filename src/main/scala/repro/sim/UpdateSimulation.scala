@@ -97,10 +97,8 @@ object UpdateSimulation {
 
       val qs = VectorGen.queries(w.queryMix, cfg.queriesPerEpoch, cfg.seed + 500 + ep)
       val data = live.toSeq
-      // Hard latency cut (§5.1) at reproduction scale: at most 2x the blocks
-      // of a balanced `probes`-posting scan; beyond it the scan truncates.
-      val blocksAtLimit = math.ceil(cfg.lire.splitLimit.toDouble / e.store.vectorsPerBlock).toLong
-      val budget = cfg.probes * blocksAtLimit * 2
+      // Hard latency cut (§5.1): beyond its budget the scan truncates.
+      val budget = e.hardCutBlocks(cfg.probes)
       val (lats, recs) = qs.map { q =>
         val r = e.search(q, cfg.k, cfg.probes, blockBudget = budget)
         val ms = math.min(LatencyModel.HardCutMs,

@@ -386,6 +386,50 @@ class LireSpec extends SparkSpec {
     })
   }
 
+  /** Postings on the x axis, merge threshold 4. Posting 0 (x = 0) holds
+    * two vectors, one of them twice, and its nearest posting, 1 (x = 1),
+    * holds one; posting 2 (x = 5) reads five rows of four vectors; posting
+    * 3 (x = 20) holds one vector and is nearest posting 4 (x = 22), which
+    * holds six and is not in the batch. Posting 9 has no centroid.
+    */
+  test("merge batch: no chains, GC-only postings keep their centroids, and candidates are homed in the targets") {
+    val mergeCfg = LireConfig(splitLimit = 8, mergeThreshold = 4)
+    val xs = Map(0L -> 0f, 1L -> 1f, 2L -> 5f, 3L -> 20f, 4L -> 22f)
+    val idx = new BruteForceCentroidIndex
+    xs.foreach { case (pid, x) => idx.insert(pid, Array(x, 0f)) }
+    def rows(pid: Long, vids: Long*) = vids.map(vid => VectorRecord(vid, 0, Array(xs(pid), 0.01f * vid)))
+    val stored: Map[Long, Seq[VectorRecord]] = Map(0L -> rows(0, 1, 2, 2), 1L -> rows(1, 11),
+      2L -> rows(2, 21, 22, 23, 24, 24), 3L -> rows(3, 31), 4L -> rows(4, 41L to 46L: _*))
+    val reads = scala.collection.mutable.ArrayBuffer.empty[Set[Long]]
+    val batch = Rebuilder.mergeBatch(Seq(9L, 3L, 2L, 1L, 0L), idx, mergeCfg) { pids => reads += pids; stored }
+
+    // One read, of the batch postings that have a centroid.
+    assert(reads.toSeq == Seq(Set(0L, 1L, 2L, 3L)))
+    // Posting 1 is posting 0's target, so it does not merge in turn.
+    assert(batch.merges.map(m => (m.pid, m.target)) == Seq((0L, 1L), (3L, 4L)))
+    assert(batch.merges.map(_.rows.map(_.vid).sorted) == Seq(Seq(1L, 2L), Seq(31L)))
+    // Deduped to the threshold, posting 2 only needed its GC.
+    assert(batch.gcOnly.map { case (pid, live) => pid -> live.map(_.vid).sorted } == Seq(2L -> Seq(21L, 22L, 23L, 24L)))
+    assert(idx.all.map(_._1).toSet == Set(1L, 2L, 4L))
+    assert(batch.candidates.map(c => (c.vid, c.home)) ==
+      batch.merges.flatMap(m => m.rows.map(_.vid -> m.target)))
+    assert(batch.candidates.map(_.vec) == batch.merges.flatMap(_.rows.map(_.vec)))
+  }
+
+  test("merge batch: of two undersized postings one merges, and a last centroid stays") {
+    val mergeCfg = LireConfig(splitLimit = 8, mergeThreshold = 4)
+    val idx = new BruteForceCentroidIndex
+    idx.insert(0L, Array(0f))
+    idx.insert(1L, Array(1f))
+    val stored = Map(0L -> Seq(VectorRecord(1L, 0, Array(0f))), 1L -> Seq(VectorRecord(2L, 0, Array(1f))))
+    val batch = Rebuilder.mergeBatch(Seq(0L, 1L), idx, mergeCfg)(_ => stored)
+    assert(batch.merges.map(m => (m.pid, m.target)) == Seq((0L, 1L)) && batch.gcOnly.isEmpty)
+    assert(idx.all.map(_._1).toSeq == Seq(1L))
+    // With one centroid left nothing is read or merged.
+    val last = Rebuilder.mergeBatch(Seq(1L), idx, mergeCfg)(_ => fail("a batch with one centroid read a posting"))
+    assert(last.merges.isEmpty && last.gcOnly.isEmpty && idx.size == 1)
+  }
+
   test("LireConfig rejects nonsensical parameters") {
     intercept[IllegalArgumentException](LireConfig(splitLimit = 1))
     intercept[IllegalArgumentException](LireConfig(mergeThreshold = 200, splitLimit = 100))

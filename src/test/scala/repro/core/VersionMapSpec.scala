@@ -50,6 +50,14 @@ class VersionMapSpec extends SparkSpec {
     assert(m.currentVersion(42L) == -1)
   }
 
+  test("a delete of an id the map never held leaves no state") {
+    val m = new VersionMap
+    m.markDeleted(42L)
+    assert(m.size == 0 && m.modCount == 0)
+    assert(m.isDeleted(42L) && m.currentVersion(42L) == -1)
+    assert(m.register(42L) == 0)
+  }
+
   test("markDeleted sets the tombstone and is idempotent") {
     val m = new VersionMap
     m.register(1L)

@@ -176,6 +176,15 @@ class DistIndexSpec extends SparkSpec {
     assert(found.intersect(victims.toSet).isEmpty)
   }
 
+  test("a deleteBatch of an id the lake never held adds no dirty state") {
+    val (idx, base) = fresh(100)
+    val unknown = base.map(_.id).max + 1000
+    val before = idx.dirtyStates
+    idx.deleteBatch(Seq(unknown))
+    assert(idx.dirtyStates == before && !before.contains(unknown))
+    assert(idx.versions.size == base.size)
+  }
+
   test("re-inserting a deleted id does not revive its old rows") {
     import org.apache.spark.sql.functions.col
     val (idx, base) = fresh(200)
