@@ -5,8 +5,9 @@ import java.nio.file.{Files, Path, Paths, StandardCopyOption}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
-import org.apache.spark.sql.expressions.UserDefinedFunction
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, StructType}
 
@@ -48,10 +49,15 @@ private[distributed] final case class TableEdit(
 )
 
 /** The version map as queries see it, as of change count `mods`: its dirty
-  * states, the liveness test over their broadcast, and that test as a UDF.
+  * states and the liveness test over their broadcast.
   */
-private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)],
-                                  isLive: (Long, Int) => Boolean, udf: UserDefinedFunction)
+private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)], isLive: (Long, Int) => Boolean)
+
+/** The lake as reads see it between two commits: the planned scan of the
+  * manifest's data files, hidden rows included, and each pid's generation
+  * (`Int.MaxValue` for a pid not in the posting table).
+  */
+private final case class LakeScan(rows: RDD[InternalRow], generations: Array[Int])
 
 /** The distributed SPFresh index: LIRE over a data lake.
   *
@@ -87,6 +93,9 @@ private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)],
   *    Spark action scans the probed postings with the single-node engine's
   *    [[PostingScan.scan]] into bounded top-k accumulators.
   *
+  * Every read of the lake is a plain RDD job of one reader, [[visibleRows]],
+  * so no read pays a SQL query's analysis, optimisation and code generation.
+  *
   * Stale replicas behave as on SSD: superseded versions stay in the lake
   * until the next split of their posting garbage-collects them; queries
   * filter them through the broadcast version map. Hidden rows stay in
@@ -117,11 +126,9 @@ final class DistIndex private[distributed] (
   /** The lake's data files, relative to [[dataDir]]. */
   private[distributed] var files: Vector[String] = Vector.empty
   private var fileRows: Long = 0L
-  /** The manifest's data files as Spark reads them, hidden rows included. */
-  private var stored: DataFrame = _
-  /** [[stored]] through the visibility filter: what [[postings]] returns. */
-  private var visible: DataFrame = _
-  private var liveCache = LiveView(-1L, null, null, null)
+  /** What reads see since the last commit; null until the first read after it. */
+  private var scanned: LakeScan = _
+  private var liveCache = LiveView(-1L, null, null)
 
   private def dataDir: Path = Paths.get(rootDir, "data")
   /** Where Spark writes a compaction's files before they move to [[dataDir]]. */
@@ -129,40 +136,45 @@ final class DistIndex private[distributed] (
 
   private[distributed] def freshPid(): Long = { val p = nextPid; nextPid += 1; p }
 
-  /** The visible rows of the lake, `(vid, pid, version, vec)`: the
-    * manifest's data files read with their known schema, so no Spark job
-    * infers it from the Parquet footers, and never more files than Spark
-    * lists on the driver. The files are read once per commit that changes
-    * them, and the visibility filter rebuilt once per commit.
+  /** The visible rows of the lake, `(vid, pid, version, vec)`, as a
+    * DataFrame over [[visibleRows]]. Building it launches no Spark job.
     */
-  def postings: DataFrame = visible
+  def postings: DataFrame = visibleRows((_, _, _) => true).toDF()
 
-  /** The visible rows whose `column` (`pid` or `vid`) is one of `keys`.
-    * The keys reach the filter through a UDF, so every call generates the
-    * same code and hits Spark's code-generation cache; an `isin` over
-    * literals would compile a new class for every new key list.
+  /** The lake's one reader: the visible rows that `keep(vid, pid, version)`
+    * accepts, with no SQL query. A row is visible iff its pid is in the
+    * posting table and it was written at or after that pid's generation.
+    * Both tests run inside the tasks, and only kept rows become
+    * [[PostingRow]]s. `keep` must capture no `DistIndex`, which is not
+    * serializable.
+    *
+    * The scan reads the manifest's data files with their known schema, so
+    * no Spark job infers it from the Parquet footers. Spark plans it at the
+    * first read after a commit, and every read until the next one reuses it.
     */
-  private[distributed] def postingsIn(column: String, keys: Iterable[Long]): DataFrame = {
-    val sorted = keys.toArray.sorted
-    val in = udf((k: Long) => java.util.Arrays.binarySearch(sorted, k) >= 0)
-    postings.filter(in(col(column)))
+  private[distributed] def visibleRows(keep: (Long, Long, Int) => Boolean): RDD[PostingRow] = {
+    if (scanned == null) scanned = planScan()
+    val gens = scanned.generations
+    val Seq(vidAt, pidAt, versionAt, vecAt, seqAt) =
+      Seq("vid", "pid", "version", "vec", "seq").map(PostingRow.fileSchema.fieldIndex)
+    // The scan reuses one row object, so each row is tested and copied out
+    // before the next is read.
+    scanned.rows.mapPartitions { rows =>
+      rows.filter { r =>
+        val pid = r.getLong(pidAt)
+        pid < gens.length && r.getInt(seqAt) >= gens(pid.toInt) && keep(r.getLong(vidAt), pid, r.getInt(versionAt))
+      }.map(r => PostingRow(r.getLong(vidAt), r.getLong(pidAt), r.getInt(versionAt), r.getArray(vecAt).toFloatArray()))
+    }
   }
 
-  /** Read the manifest's data files anew, after they changed. */
-  private def reread(): Unit =
-    stored = spark.read.schema(PostingRow.fileSchema).parquet(files.map(dataDir.resolve(_).toString): _*)
-
-  /** Rebuild the visibility filter after the posting table's generations
-    * changed: a row is visible iff its pid is in the table and it was
-    * written at or after that pid's generation.
+  /** Plan the scan of the manifest's data files, and snapshot the posting
+    * table's generations.
     */
-  private def refresh(): Unit = {
+  private def planScan(): LakeScan = {
     val gens = Array.fill(nextPid.toInt)(Int.MaxValue)
     table.foreach { case (pid, m) => gens(pid.toInt) = m.generation }
-    val bc = spark.sparkContext.broadcast(gens)
-    val visibleUdf = udf((pid: Long, seq: Int) => pid < bc.value.length && seq >= bc.value(pid.toInt))
-    visible = stored.filter(visibleUdf(col("pid"), col("seq")))
-      .select(col("vid"), col("pid"), col("version"), col("vec"))
+    val paths = files.map(dataDir.resolve(_).toString)
+    LakeScan(spark.read.schema(PostingRow.fileSchema).parquet(paths: _*).queryExecution.toRdd, gens)
   }
 
   /** Run `body` with `label` as the description of the Spark jobs it
@@ -186,7 +198,6 @@ final class DistIndex private[distributed] (
     if (rows.nonEmpty) {
       files ++= writeRows(rows, seq, nFiles)
       fileRows += rows.size
-      reread()
     }
     edit.dropped.foreach(table.remove)
     edit.rewritten.foreach(table(_) = PostingMeta(seq, 0, 0))
@@ -196,15 +207,14 @@ final class DistIndex private[distributed] (
     }
     rows.foreach(r => add(r.pid, 1, 1))
     edit.staled.foreach(add(_, 0, -1))
-    refresh()
-    val visibleRows = table.valuesIterator.map(_.raw).sum
-    val compact = fileRows - visibleRows > visibleRows || files.size > listingThreshold
+    scanned = null
+    val visible = table.valuesIterator.map(_.raw).sum
+    val compact = fileRows - visible > visible || files.size > listingThreshold
     if (compact) {
       files = labelled("lake compact")(compactFiles(seq)).toVector
-      fileRows = visibleRows
+      fileRows = visible
       table.mapValuesInPlace((_, m) => m.copy(generation = seq))
-      reread()
-      refresh()
+      scanned = null
     }
     commitSeq += 1
     Manifest(commitSeq, dim, cfg, nextPid, fileRows, files, centroids.all.toSeq, table.toSeq,
@@ -298,8 +308,6 @@ final class DistIndex private[distributed] (
     m.centroids.foreach { case (pid, c) => centroids.insert(pid, c) }
     table ++= m.table
     pending ++= m.pending
-    reread()
-    refresh()
     val clean = postings.select("vid").distinct().as[Long].collect().filterNot(m.dirty.contains)
     versions.restore(m.dirty ++ clean.map(_ -> ((0, false))))
   }
@@ -331,7 +339,7 @@ final class DistIndex private[distributed] (
           case Some((_, true))      => false
           case Some((cur, false))   => version == cur
         }
-      liveCache = LiveView(mods, dirty, isLive, udf(isLive))
+      liveCache = LiveView(mods, dirty, isLive)
     }
     liveCache
   }
@@ -341,13 +349,21 @@ final class DistIndex private[distributed] (
     */
   def dirtyStates: Map[Long, (Int, Boolean)] = liveView.dirty
 
-  /** UDF of the lake's liveness test (§4.1 staleness rule). */
-  def liveUdf: UserDefinedFunction = liveView.udf
+  /** The lake's liveness test `(vid, version)` (§4.1 staleness rule), one
+    * snapshot per version-map change; it captures no `DistIndex`.
+    */
+  private[distributed] def isLive: (Long, Int) => Boolean = liveView.isLive
 
-  /** Raw on-lake record count per posting, from one scan of the lake. */
+  /** Raw on-lake record count per posting, from one scan of the lake: each
+    * task counts its rows per posting, and the driver adds the counts up,
+    * with no shuffle.
+    */
   def rawSizes(): Map[Long, Long] =
-    postings.groupBy("pid").count()
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    visibleRows((_, _, _) => true).mapPartitions { rows =>
+      val n = mutable.LongMap.empty[Long]
+      rows.foreach(r => n(r.pid) = n.getOrElse(r.pid, 0L) + 1)
+      Iterator(n.toArray)
+    }.collect().flatten.groupMapReduce(_._1)(_._2)(_ + _)
 
   /** The visible rows `(vid, pid, version)` of `vids`, read in one
     * filtered action labelled `label` that also settles the posting table:
@@ -360,8 +376,7 @@ final class DistIndex private[distributed] (
     val stale = pending.toSet
     val read = vids ++ stale.iterator.map(_._1)
     if (read.isEmpty) return Seq.empty
-    val rows = labelled(label)(postingsIn("vid", read).select(col("vid"), col("pid"), col("version")).collect())
-      .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)))
+    val rows = labelled(label)(visibleRows((vid, _, _) => read(vid)).map(r => (r.vid, r.pid, r.version)).collect())
     rows.foreach { case (vid, pid, version) =>
       if (stale((vid, version))) table(pid) = table(pid).copy(live = table(pid).live - 1)
     }
@@ -435,8 +450,8 @@ final class DistIndex private[distributed] (
     val top = Array.fill(qs.length)(new VectorMath.TopK(math.max(0, k)))
     if (byPid.nonEmpty) {
       val qvecs = qs.map(_._2)
-      val live = liveView.isLive
-      labelled("lake search")(postingsIn("pid", byPid.keys).as[PostingRow]
+      val live = isLive
+      labelled("lake search")(visibleRows((_, pid, _) => byPid.contains(pid))
         .mapPartitions { rows =>
           val posting = mutable.LongMap.empty[mutable.ArrayBuffer[PostingRow]]
           rows.foreach(r => posting.getOrElseUpdate(r.pid, mutable.ArrayBuffer.empty) += r)

@@ -1,7 +1,5 @@
 package repro.core.distributed
 
-import org.apache.spark.sql.functions._
-
 import repro.core.{Lire, Reassign, Rebuilder}
 
 /** Totals of one [[DistRebalancer.run]] — the distributed analogue of
@@ -21,7 +19,9 @@ final case class RebalanceStats(
 }
 
 /** The Local Rebuilder (§4.2) over the Parquet posting lake: Spark jobs
-  * read the lake, and the driver decides and commits.
+  * read the lake, and the driver decides and commits. Every read is a
+  * plain RDD job of the lake's one reader ([[DistIndex.visibleRows]]), over
+  * the scan planned once per commit, with no SQL query.
   *
   * One `run` executes split → reassign → merge rounds until the index is
   * balanced again. Which postings to split or merge it reads from the
@@ -65,8 +65,6 @@ final case class RebalanceStats(
   * vectors.
   */
 final class DistRebalancer(idx: DistIndex) {
-  import idx.spark
-  import spark.implicits._
   private val cfg = idx.cfg
 
   /** Rebalance to a stable state (or `maxRounds`). */
@@ -120,13 +118,14 @@ final class DistRebalancer(idx: DistIndex) {
       RebalanceStats(merges = batch.merges.length)
   }
 
-  /** A round's read: one action, labelled `label`, over the live rows of
-    * `pids`, which the driver collects and groups by posting.
+  /** A round's read: one action, labelled `label`, of the lake's reader
+    * ([[DistIndex.visibleRows]]) over the live rows of `pids`, which the
+    * driver collects and groups by posting.
     */
   private def liveRows(label: String)(pids: Set[Long]): Long => Seq[PostingRow] = {
-    val live = idx.labelled(label)(idx.postingsIn("pid", pids)
-      .filter(idx.liveUdf(col("vid"), col("version")))
-      .as[PostingRow].collect()).toSeq.groupBy(_.pid)
+    val isLive = idx.isLive
+    val live = idx.labelled(label)(idx.visibleRows((vid, pid, version) => pids(pid) && isLive(vid, version))
+      .collect()).toSeq.groupBy(_.pid)
     live.getOrElse(_, Nil)
   }
 

@@ -14,8 +14,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * limit). `autoBroadcastJoinThreshold = -1` turns off Spark's automatic
   * broadcast joins, so a DataFrame join a test adds is planned the same
   * whatever its table sizes (the repository's own code runs none). The
-  * lake's version map and posting generations reach executors as explicit
-  * broadcast variables, which the setting does not touch.
+  * lake's version map reaches executors as an explicit broadcast variable,
+  * which the setting does not touch.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -41,19 +41,27 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     * description, so a job that sets none reports that name.
     */
   def jobDescriptions[T](body: => T): (T, Seq[String]) = {
+    val (out, props) = jobProperties(body)
+    (out, props.map(_.getProperty("spark.job.description")))
+  }
+
+  /** `body`'s result and the local properties of every Spark job it
+    * launched, in launch order, run under a job group of its own (see
+    * [[jobDescriptions]]).
+    */
+  def jobProperties[T](body: => T): (T, Seq[java.util.Properties]) = {
     val sc = spark.sparkContext
-    val group = s"job-descriptions-${java.util.UUID.randomUUID}"
-    val started = new java.util.concurrent.ConcurrentLinkedQueue[(String, Option[String])]
+    val group = s"job-properties-${java.util.UUID.randomUUID}"
+    val started = new java.util.concurrent.ConcurrentLinkedQueue[java.util.Properties]
     val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = Option(e.properties).foreach { p =>
-        started.add((p.getProperty("spark.jobGroup.id"), Option(p.getProperty("spark.job.description"))))
-      }
+      override def onJobStart(e: SparkListenerJobStart): Unit = Option(e.properties).foreach(started.add)
     }
+    def of(g: String) = started.asScala.filter(_.getProperty("spark.jobGroup.id") == g)
     sc.addSparkListener(listener)
     try {
       val out = inGroup(group)(body)
-      awaitMarker(group, g => started.asScala.exists(_._1 == g))
-      (out, started.asScala.collect { case (`group`, d) => d.orNull }.toSeq)
+      awaitMarker(group, of(_).nonEmpty)
+      (out, of(group).toSeq)
     } finally sc.removeSparkListener(listener)
   }
 

@@ -123,18 +123,20 @@ class DistIndexSpec extends SparkSpec {
     idx.insertBatch(VectorGen.toDf(spark, again))
     LakeChecks.tableMatchesScan(idx, "after re-inserting known ids")
     assert(countJobs(idx.rawSizes())._2 > 0, "rawSizes must scan the lake")
+    assert(shuffleBytesWritten(idx.rawSizes())._2 == 0, "rawSizes must count without a shuffle")
   }
 
   test("liveUdf is rebuilt only when the version map changed") {
     import org.apache.spark.sql.functions.col
     val (idx, base) = fresh(100)
-    val first = idx.liveUdf
-    assert(idx.liveUdf eq first, "two calls with no change in between must share one snapshot")
+    val first = idx.isLive
+    assert(idx.isLive eq first, "two calls with no change in between must share one snapshot")
     val victim = base.head.id
     idx.versions.markDeleted(victim)
-    val second = idx.liveUdf
+    val second = idx.isLive
     assert(!(second eq first))
-    assert(idx.postings.filter(second(col("vid"), col("version")) && col("vid") === victim).count() == 0)
+    val live = LakeChecks.liveUdf(idx)
+    assert(idx.postings.filter(live(col("vid"), col("version")) && col("vid") === victim).count() == 0)
     assert(idx.dirtyStates.get(victim).contains((0, true)))
   }
 
@@ -192,7 +194,7 @@ class DistIndexSpec extends SparkSpec {
     val moved = victim.vec.map(_ + 1f)
     idx.deleteBatch(Seq(victim.id))
     idx.insertBatch(VectorGen.toDf(spark, Seq(VectorGen.Vec(victim.id, moved))))
-    val live = idx.postings.filter(idx.liveUdf(col("vid"), col("version")))
+    val live = idx.postings.filter(LakeChecks.liveUdf(idx)(col("vid"), col("version")))
       .filter(col("vid") === victim.id).select("vec").collect().map(_.getSeq[Float](0))
     assert(live.nonEmpty, "the re-inserted vector must be live")
     assert(live.forall(_ == moved.toSeq), "an old row of the re-inserted id is live again")
@@ -339,10 +341,11 @@ class DistIndexSpec extends SparkSpec {
     val (idx, _) = fresh(120, seed = 5)
     import spark.implicits._
     val sparkSizes = idx.postings
-      .filter(idx.liveUdf(org.apache.spark.sql.functions.col("vid"),
+      .filter(LakeChecks.liveUdf(idx)(org.apache.spark.sql.functions.col("vid"),
         org.apache.spark.sql.functions.col("version")))
       .groupBy("pid").count().withColumnRenamed("count", "n")
-    val flat = idx.postings.select("vid", "pid", "version").collect()
+    // The oracle's rows come from the lake's files, not from the reader under test.
+    val flat = LakeChecks.visibleFileRows(idx).select("vid", "pid", "version").collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getInt(2)))
       .toSeq.toDF("vid", "pid", "version")
     // All vectors are fresh (version 0, no deletes): live == all rows.

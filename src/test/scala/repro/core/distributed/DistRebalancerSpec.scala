@@ -32,7 +32,7 @@ class DistRebalancerSpec extends SparkSpec {
     * expected — it must just stay marginal.
     */
   private def assertInvariants(idx: DistIndex): Unit = {
-    val rows = idx.postings.filter(idx.liveUdf(col("vid"), col("version")))
+    val rows = idx.postings.filter(LakeChecks.liveUdf(idx)(col("vid"), col("version")))
       .select("pid", "vid", "vec").collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getSeq[Float](2).toArray)).toSeq
     val inv = LireInvariants.check(rows, v => idx.centroids.nearest(v, 1).head._1, cfg.splitLimit,
@@ -300,6 +300,31 @@ class DistRebalancerSpec extends SparkSpec {
     val c = mix(11).centers.head
     drained.deleteBatch(base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id))
     assert(Set("lake settle", "lake merge").subsetOf(labelsOf(new DistRebalancer(drained).run())))
+  }
+
+  test("lake reads run no SQL query") {
+    import spark.implicits._
+    val reads = Set("lake split", "lake reassign", "lake merge", "lake settle", "lake search")
+    // The read labels of the jobs `body` launched, each checked to run
+    // outside a SQL execution (compaction, a Spark write, is not a read).
+    def readsOf(body: => Any): Set[String] = {
+      val read = jobProperties(body)._2
+        .map(p => (p.getProperty("spark.job.description"), p.getProperty("spark.sql.execution.id")))
+        .filter(j => reads(j._1))
+      val sql = read.collect { case (label, execution) if execution != null => label }
+      assert(sql.isEmpty, "lake reads ran as SQL queries")
+      read.map(_._1).toSet
+    }
+    val (storm, stormBase) = fresh(200)
+    storm.deleteBatch(stormBase.take(20).map(_.id))
+    storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
+    assert(Set("lake split", "lake reassign").subsetOf(readsOf(new DistRebalancer(storm).run())))
+    val queries = stormBase.drop(20).take(10).map(v => (v.id, v.vec)).toDF("qid", "qvec")
+    assert(readsOf(storm.search(queries, k = 10).collect()) == Set("lake search"))
+    val (drained, base) = fresh(300, seed = 11)
+    val c = mix(11).centers.head
+    drained.deleteBatch(base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id))
+    assert(Set("lake settle", "lake merge").subsetOf(readsOf(new DistRebalancer(drained).run())))
   }
 
   test("a split round allocates fresh pids in ascending old-pid order") {

@@ -4,7 +4,9 @@ import java.nio.file.{Files, Paths}
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.functions.{col, count, lit, sum}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.UserDefinedFunction
+import org.apache.spark.sql.functions.{col, count, lit, sum, udf}
 import org.scalatest.Assertions._
 
 /** Hand-made lakes, and checks of the lake's driver state against its files. */
@@ -16,12 +18,36 @@ object LakeChecks {
   def commit(idx: DistIndex, rows: Seq[PostingRow]): Unit =
     idx.commit(rows, TableEdit(staled = rows.filter(r => idx.versions.isStale(r.vid, r.version)).map(_.pid)))
 
+  /** UDF of the lake's liveness test `(vid, version)`, over the index's own
+    * snapshot of it.
+    */
+  def liveUdf(idx: DistIndex): UserDefinedFunction = udf(idx.isLive)
+
+  /** The visible rows `(vid, pid, version, vec)` of the manifest's data
+    * files, read with a plain `spark.read.parquet` and filtered here, not by
+    * the index's reader: a row is visible iff its posting is in the posting
+    * table and it was written at or after the posting's generation.
+    */
+  def visibleFileRows(idx: DistIndex): DataFrame = {
+    val generations = idx.table.iterator.map { case (pid, m) => pid -> m.generation }.toMap
+    val visible = udf((pid: Long, seq: Int) => generations.get(pid).exists(seq >= _))
+    idx.spark.read.parquet(idx.files.map(f => s"${idx.rootDir}/data/$f"): _*)
+      .filter(visible(col("pid"), col("seq"))).select("vid", "pid", "version", "vec")
+  }
+
   /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
-    * scan of the lake: the ground truth the posting table must equal.
+    * scan of the lake's files ([[visibleFileRows]]): the ground truth the
+    * posting table must equal. A row is live iff its vector's dirty state
+    * (`dirtyStates`) is absent and its version 0, or not tombstoned and at
+    * the state's version.
     */
   def rawSizesAndLive(idx: DistIndex): Map[Long, (Long, Long)] = {
-    val live = idx.liveUdf(col("vid"), col("version"))
-    idx.postings.groupBy("pid").agg(count(lit(1)), sum(live.cast("long")))
+    val dirty = idx.dirtyStates
+    val live = udf((vid: Long, version: Int) => dirty.get(vid) match {
+      case None                  => version == 0
+      case Some((cur, tombstone)) => !tombstone && version == cur
+    })
+    visibleFileRows(idx).groupBy("pid").agg(count(lit(1)), sum(live(col("vid"), col("version")).cast("long")))
       .collect().map(r => r.getLong(0) -> ((r.getLong(1), r.getLong(2)))).toMap
   }
 
