@@ -5,11 +5,15 @@ import java.nio.file.{Files, Path, Paths, StandardCopyOption}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
+import org.apache.hadoop.conf.Configuration
+import org.apache.spark.paths.SparkPath
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.execution.datasources.{FileFormat, FilePartition, FileScanRDD, PartitionedFile}
+import org.apache.spark.sql.execution.datasources.parquet.ParquetFileFormat
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{IntegerType, StructType}
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
 import repro.centroid.BruteForceCentroidIndex
 import repro.cluster.HierarchicalBuild
@@ -53,9 +57,10 @@ private[distributed] final case class TableEdit(
   */
 private final case class LiveView(mods: Long, dirty: Map[Long, (Int, Boolean)], isLive: (Long, Int) => Boolean)
 
-/** The lake as reads see it between two commits: the planned scan of the
-  * manifest's data files, hidden rows included, and each pid's generation
-  * (`Int.MaxValue` for a pid not in the posting table).
+/** The lake as reads see it between two commits: the scan of the
+  * manifest's data files, hidden rows included, built from the file list
+  * with no query plan, and each pid's generation (`Int.MaxValue` for a pid
+  * not in the posting table).
   */
 private final case class LakeScan(rows: RDD[InternalRow], generations: Array[Int])
 
@@ -95,6 +100,8 @@ private final case class LakeScan(rows: RDD[InternalRow], generations: Array[Int
   *
   * Every read of the lake is a plain RDD job of one reader, [[visibleRows]],
   * so no read pays a SQL query's analysis, optimisation and code generation.
+  * Its Parquet reader is built once per index, and its scan once per commit
+  * straight from the manifest's files, so no commit plans a query either.
   *
   * Stale replicas behave as on SSD: superseded versions stay in the lake
   * until the next split of their posting garbage-collects them; queries
@@ -149,8 +156,9 @@ final class DistIndex private[distributed] (
     * serializable.
     *
     * The scan reads the manifest's data files with their known schema, so
-    * no Spark job infers it from the Parquet footers. Spark plans it at the
-    * first read after a commit, and every read until the next one reuses it.
+    * no Spark job infers it from the Parquet footers. [[planScan]] builds it
+    * at the first read after a commit, with no query plan, and every read
+    * until the next one reuses it.
     */
   private[distributed] def visibleRows(keep: (Long, Long, Int) => Boolean): RDD[PostingRow] = {
     if (scanned == null) scanned = planScan()
@@ -167,14 +175,38 @@ final class DistIndex private[distributed] (
     }
   }
 
-  /** Plan the scan of the manifest's data files, and snapshot the posting
-    * table's generations.
+  /** The Parquet reader of the lake's data files, with their known schema,
+    * built once per index. Its Hadoop configuration is empty, as the
+    * writer's ([[LakeFiles]]) is: the lake lives on the local file system,
+    * and a file open then copies no default settings.
+    */
+  private lazy val reader: PartitionedFile => Iterator[InternalRow] =
+    new ParquetFileFormat().buildReaderWithPartitionValues(spark, PostingRow.fileSchema, new StructType(),
+      PostingRow.fileSchema, Nil, Map(FileFormat.OPTION_RETURNING_BATCH -> "false"), new Configuration(false))
+
+  /** Build the scan of the manifest's data files, and snapshot the posting
+    * table's generations. The scan is an RDD of [[reader]] over the files,
+    * split and packed into tasks by the rule Spark's file-source planner
+    * applies (`FilePartition.maxSplitBytes`, the longest splits first, then
+    * `FilePartition.getFilePartitions`), but with no query to analyse,
+    * optimise or plan. This and [[reader]] are the one place the lake uses
+    * Spark's internal `org.apache.spark.sql.execution.datasources` classes.
     */
   private def planScan(): LakeScan = {
     val gens = Array.fill(nextPid.toInt)(Int.MaxValue)
     table.foreach { case (pid, m) => gens(pid.toInt) = m.generation }
-    val paths = files.map(dataDir.resolve(_).toString)
-    LakeScan(spark.read.schema(PostingRow.fileSchema).parquet(paths: _*).queryExecution.toRdd, gens)
+    val sized = files.map { f => val p = dataDir.resolve(f); (p.toString, Files.size(p)) }
+    val openCost = spark.sessionState.conf.filesOpenCostInBytes
+    val maxSplit = FilePartition.maxSplitBytes(spark, sized.map(_._2 + openCost).sum)
+    val splits = sized.flatMap { case (path, size) =>
+      (0L until size by maxSplit).map { start =>
+        PartitionedFile(InternalRow.empty, SparkPath.fromPathString(path), start, math.min(maxSplit, size - start),
+          fileSize = size)
+      }
+    }.sortBy(-_.length)
+    val scan = new FileScanRDD(spark, reader, FilePartition.getFilePartitions(spark, splits, maxSplit),
+      PostingRow.fileSchema)
+    LakeScan(scan, gens)
   }
 
   /** Run `body` with `label` as the description of the Spark jobs it
@@ -468,8 +500,8 @@ final class DistIndex private[distributed] (
         .collect())
         .foreach { case (i, vid, d) => top(i).offerMin(vid, d) }
     }
-    qs.indices.flatMap(i => top(i).ids.zipWithIndex.map { case (vid, r) => (qs(i)._1, vid, r + 1) })
-      .toDF("qid", "vid", "rank")
+    val rows = qs.indices.flatMap(i => top(i).ids.zipWithIndex.map { case (vid, r) => Row(qs(i)._1, vid, r + 1) })
+    spark.createDataFrame(rows.asJava, DistIndex.SearchSchema)
   }
 
   /** Records packed per simulated block, scaled so that a posting at the
@@ -512,6 +544,12 @@ object DistIndex {
 
   /** The manifest's file name under `rootDir`. */
   private[distributed] val ManifestName = "_manifest"
+
+  /** The schema of [[DistIndex.search]]'s result. */
+  private val SearchSchema = StructType(Seq(
+    StructField("qid", LongType, nullable = false),
+    StructField("vid", LongType, nullable = false),
+    StructField("rank", IntegerType, nullable = false)))
 
   /** Initial balanced build (SPANN §3.1 as a lake job): centroids come from
     * hierarchical balanced clustering on the driver (the paper builds them

@@ -21,7 +21,8 @@ final case class RebalanceStats(
 /** The Local Rebuilder (§4.2) over the Parquet posting lake: Spark jobs
   * read the lake, and the driver decides and commits. Every read is a
   * plain RDD job of the lake's one reader ([[DistIndex.visibleRows]]), over
-  * the scan planned once per commit, with no SQL query.
+  * the scan built once per commit from the manifest's files, with no SQL
+  * query and no query plan.
   *
   * One `run` executes split → reassign → merge rounds until the index is
   * balanced again. Which postings to split or merge it reads from the

@@ -56,6 +56,30 @@ class DistIndexSpec extends SparkSpec {
     LakeChecks.noUnreferencedFiles(idx)
   }
 
+  test("a lake read runs as many tasks as Spark's own scan of the manifest's files") {
+    val (idx, _) = fresh(200)
+    def tasks = idx.visibleRows((_, _, _) => true).getNumPartitions
+    def sparkTasks = spark.read.schema(PostingRow.fileSchema)
+      .parquet(idx.files.map(f => s"${idx.rootDir}/data/$f"): _*).rdd.getNumPartitions
+    assert(tasks == sparkTasks, s"after the build: ${idx.files}")
+    // One-vector inserts add a file each, until a commit compacts the lake.
+    val more = VectorGen.draw(mix(), 64, 10000, seed = 5).iterator
+    while (!idx.files.exists(_.contains("-compact-")) && more.hasNext)
+      idx.insertBatch(VectorGen.toDf(spark, Seq(more.next())))
+    assert(idx.files.exists(_.contains("-compact-")), s"no compaction: ${idx.files}")
+    (0 until 3).foreach(_ => idx.insertBatch(VectorGen.toDf(spark, Seq(more.next()))))
+    assert(tasks == sparkTasks, s"after a compaction and three commits: ${idx.files}")
+    // With small splits and open costs, files split and tasks pack several.
+    val small = Seq("spark.sql.files.maxPartitionBytes" -> "2k", "spark.sql.files.openCostInBytes" -> "512")
+    try {
+      small.foreach { case (k, v) => spark.conf.set(k, v) }
+      idx.insertBatch(VectorGen.toDf(spark, Seq(more.next())))
+      assert(tasks == sparkTasks, s"under small splits: ${idx.files}")
+      assert(tasks != idx.files.size, "small splits changed no task")
+      assert(idx.postings.count() == idx.table.valuesIterator.map(_.raw).sum, "split files lost or repeated rows")
+    } finally small.foreach { case (k, _) => spark.conf.unset(k) }
+  }
+
   test("an insertBatch adds one data file, holding exactly the inserted rows") {
     import org.apache.spark.sql.functions.col
     val (idx, _) = fresh(200)
@@ -311,6 +335,21 @@ class DistIndexSpec extends SparkSpec {
     val (rows, jobs) = countJobs(idx.search(queries, k = 10).collect())
     assert(rows.length == 20 * 10)
     assert(jobs == 1)
+  }
+
+  test("a search's result is (qid, vid, rank), never null, in query then rank order") {
+    import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
+    import spark.implicits._
+    val (idx, base) = fresh(200)
+    val qids = base.take(5).map(_.id).reverse
+    val queries = base.take(5).reverse.map(v => (v.id, v.vec)).toDF("qid", "qvec")
+    val res = idx.search(queries, k = 4)
+    assert(res.schema == StructType(Seq(StructField("qid", LongType, nullable = false),
+      StructField("vid", LongType, nullable = false), StructField("rank", IntegerType, nullable = false))))
+    val got = res.collect().map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).toSeq
+    assert(got.map(r => (r._1, r._3)) == qids.flatMap(q => (1 to 4).map(q -> _)))
+    // Each query is a stored vector, so it is its own nearest neighbour.
+    assert(got.filter(_._3 == 1).map(_._2) == qids)
   }
 
   test("lake reads of new pid or vid sets compile no new code") {

@@ -327,6 +327,17 @@ class DistRebalancerSpec extends SparkSpec {
     assert(Set("lake settle", "lake merge").subsetOf(readsOf(new DistRebalancer(drained).run())))
   }
 
+  test("a rebalance's commits and reads run no Catalyst rule") {
+    import org.apache.spark.sql.catalyst.rules.RuleExecutor
+    val (idx, _) = fresh(200)
+    idx.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
+    RuleExecutor.resetMetrics()
+    val stats = new DistRebalancer(idx).run()
+    assert(stats.splits > 0 && stats.rounds > 1, stats)
+    val metrics = RuleExecutor.getCurrentMetrics()
+    assert(metrics.numRuns == 0, s"${metrics.numRuns} Catalyst rule runs took ${metrics.time / 1000000} ms")
+  }
+
   test("a split round allocates fresh pids in ascending old-pid order") {
     // Six postings far apart, each one vector over the limit: posting i
     // (centroid (10i, 0)) holds vids 100i until 100i + 41 in two blobs.
