@@ -13,10 +13,8 @@ object Reassign {
   /** A live row read from posting `home`, as a candidate at its version. */
   def homed(r: PostingRecord, home: Long): Candidate = Candidate(r.vid, r.vec, home, r.version)
 
-  /** A moved candidate: its new `version`, the closure postings it goes to,
-    * and the postings of the reader's rows of it that the move leaves stale.
-    */
-  final case class Move(c: Candidate, version: Int, targets: Seq[Long], staled: Seq[Long])
+  /** A moved candidate: its new `version` and the closure postings it goes to. */
+  final case class Move(c: Candidate, version: Int, targets: Seq[Long])
 
   /** A split's reassign range (Eq. 2): the `reassignRange` postings of
     * `near` (nearest the old centroid first) that did not split in the same
@@ -62,8 +60,7 @@ object Reassign {
       val held = known(c.vid)
       if (held.exists { case (pid, ver) => pid == best && !versions.isStale(c.vid, ver) }) None
       else versions.tryBumpVersion(c.vid, c.version).map { version =>
-        Move(c, version, Lire.closure(centroids.nearest(c.vec, cfg.maxReplicas), cfg.replicaEpsilon),
-          held.collect { case (pid, ver) if ver == c.version => pid })
+        Move(c, version, Lire.closure(centroids.nearest(c.vec, cfg.maxReplicas), cfg.replicaEpsilon))
       }
     }
     (checked.size, moves)

@@ -41,13 +41,12 @@ object PostingRow {
 final case class PostingMeta(generation: Int, raw: Long, live: Long)
 
 /** What one commit does to the posting table besides its rows: `dropped`
-  * postings leave it, `rewritten` ones restart at this commit (their older
-  * rows are hidden), then every row the commit writes counts once, raw and
-  * live, in its own posting, and every visible row that stops being live
-  * leaves the live count of the posting `staled` lists for it.
+  * postings leave it and `rewritten` ones restart at this commit (their
+  * older rows are hidden). The commit's rows must hold every vector that
+  * has a live row in a hidden posting, as a round's halves, GC'd rows and
+  * merged rows do: those vectors' replica links to the hidden postings go.
   */
 private[distributed] final case class TableEdit(
-    staled: Seq[Long] = Nil,
     dropped: Set[Long] = Set.empty,
     rewritten: Set[Long] = Set.empty,
 )
@@ -85,15 +84,18 @@ private final case class LakeScan(rows: RDD[InternalRow], generations: Array[Int
   *    so a split, merge or GC rewrite hides the old rows without touching
   *    their files. The table is kept exact by the operations that change
   *    it, so the rebuilder never scans the lake to decide what to split;
+  *  - the driver's replica map: for each vector, the postings of its live
+  *    visible rows. A delete or re-insert takes its links off their
+  *    postings' live counts at once, and a round's reassign pass reads a
+  *    would-be mover's replicas from it, so neither reads the lake;
   *  - SPTAG centroid index + version map → driver-resident metadata,
   *    exactly the structures the paper keeps in DRAM (§4.1): the same
   *    [[BruteForceCentroidIndex]] and [[VersionMap]] the single-node engine
   *    uses;
   *  - Updater → [[insertBatch]]/[[deleteBatch]] (micro-batch epochs — the
   *    dataflow form of the paper's online updates, see DESIGN.md);
-  *  - Local Rebuilder → [[DistRebalancer]], whose split, merge and
-  *    reassign rounds read the lake with Spark jobs and decide on the
-  *    driver;
+  *  - Local Rebuilder → [[DistRebalancer]], whose split and merge rounds
+  *    read the lake with one Spark job each and decide on the driver;
   *  - Searcher → [[search]]: the driver probes the centroid index, and one
   *    Spark action scans the probed postings with the single-node engine's
   *    [[PostingScan.scan]] into bounded top-k accumulators.
@@ -125,10 +127,12 @@ final class DistIndex private[distributed] (
   private[distributed] var nextPid: Long = 0L
   /** The posting table: pid -> generation and raw / live lengths. */
   private[distributed] val table = mutable.LongMap.empty[PostingMeta]
-  /** (vid, version) pairs whose rows stopped being live, by a delete or a
-    * re-insert, since the last [[settle]].
+  /** The replica map: vid -> the pids of its live visible rows, one entry
+    * per row (a merge can append a vector's row to a posting that holds
+    * one already). Each posting's live count in [[table]] is the number of
+    * its entries here. A vid with no live row has no key.
     */
-  private val pending = mutable.LinkedHashSet.empty[(Long, Int)]
+  private[distributed] val replicas = mutable.LongMap.empty[Array[Long]]
   private var commitSeq: Int = 0
   /** The lake's data files, relative to [[dataDir]]. */
   private[distributed] var files: Vector[String] = Vector.empty
@@ -220,10 +224,12 @@ final class DistIndex private[distributed] (
     try body finally sc.setLocalProperty(DistIndex.JobDescription, caller)
   }
 
-  /** Commit `rows`, each live, as one new data file (`nFiles` contiguous
-    * chunks at most) that the driver writes with no Spark job, apply `edit`
-    * and the rows to the posting table, compact when due, and write the
-    * manifest.
+  /** Commit `rows` as one new data file (`nFiles` contiguous chunks at
+    * most) that the driver writes with no Spark job, apply `edit` and the
+    * rows to the posting table and the replica map, compact when due, and
+    * write the manifest. Every row counts in its posting's raw length; a
+    * row the version map holds live at commit time also counts in its live
+    * length and links its vector to its posting.
     */
   private[distributed] def commit(rows: Seq[PostingRow], edit: TableEdit = TableEdit(), nFiles: Int = 1): Unit = {
     val seq = commitSeq
@@ -231,14 +237,18 @@ final class DistIndex private[distributed] (
       files ++= writeRows(rows, seq, nFiles)
       fileRows += rows.size
     }
+    val hidden = edit.dropped ++ edit.rewritten
+    if (hidden.nonEmpty) rows.iterator.map(_.vid).distinct.foreach { vid =>
+      replicas.get(vid).foreach(ps => setLinks(vid, ps.filterNot(hidden)))
+    }
     edit.dropped.foreach(table.remove)
     edit.rewritten.foreach(table(_) = PostingMeta(seq, 0, 0))
-    def add(pid: Long, raw: Long, live: Long): Unit = {
-      val m = table.getOrElse(pid, PostingMeta(seq, 0, 0))
-      table(pid) = m.copy(raw = m.raw + raw, live = m.live + live)
+    rows.foreach { r =>
+      val live = !versions.isStale(r.vid, r.version)
+      val m = table.getOrElse(r.pid, PostingMeta(seq, 0, 0))
+      table(r.pid) = m.copy(raw = m.raw + 1, live = m.live + (if (live) 1 else 0))
+      if (live) setLinks(r.vid, replicas.getOrElse(r.vid, NoLinks) :+ r.pid)
     }
-    rows.foreach(r => add(r.pid, 1, 1))
-    edit.staled.foreach(add(_, 0, -1))
     scanned = null
     val visible = table.valuesIterator.map(_.raw).sum
     val compact = fileRows - visible > visible || files.size > listingThreshold
@@ -250,9 +260,26 @@ final class DistIndex private[distributed] (
     }
     commitSeq += 1
     Manifest(commitSeq, dim, cfg, nextPid, fileRows, files, centroids.all.toSeq, table.toSeq,
-      dirtyStates, pending.toSeq).write(Paths.get(rootDir, DistIndex.ManifestName))
+      dirtyStates).write(Paths.get(rootDir, DistIndex.ManifestName))
     if (compact) vacuum()
   }
+
+  private val NoLinks = Array.empty[Long]
+
+  private def setLinks(vid: Long, pids: Array[Long]): Unit =
+    if (pids.isEmpty) replicas.remove(vid) else replicas(vid) = pids
+
+  /** Take every replica link of `vid` off its posting's live count and out
+    * of the replica map: its rows stopped being live, by a delete, a
+    * re-insert or a move.
+    */
+  private[distributed] def unlink(vid: Long): Unit =
+    replicas.remove(vid).foreach(_.foreach { pid =>
+      table.get(pid).foreach(m => table(pid) = m.copy(live = m.live - 1))
+    })
+
+  /** The postings of `vid`'s live visible rows, one per row. */
+  private[distributed] def links(vid: Long): Seq[Long] = replicas.getOrElse(vid, NoLinks).toSeq
 
   /** Number of committed index versions so far. */
   def commits: Int = commitSeq
@@ -329,8 +356,9 @@ final class DistIndex private[distributed] (
   }
 
   /** Restore the driver state of `m`. The manifest keeps only the dirty
-    * version states; every other vid in the lake is live at version 0, and
-    * one scan of the lake's vids finds them.
+    * version states; every other vid in the lake is live at version 0. One
+    * read of the visible rows finds those vids, and its live rows rebuild
+    * the replica map.
     */
   private def restore(m: Manifest): Unit = {
     commitSeq = m.seq
@@ -339,9 +367,11 @@ final class DistIndex private[distributed] (
     fileRows = m.fileRows
     m.centroids.foreach { case (pid, c) => centroids.insert(pid, c) }
     table ++= m.table
-    pending ++= m.pending
-    val clean = postings.select("vid").distinct().as[Long].collect().filterNot(m.dirty.contains)
-    versions.restore(m.dirty ++ clean.map(_ -> ((0, false))))
+    val rows = visibleRows((_, _, _) => true).map(r => (r.vid, r.pid, r.version)).collect()
+    val clean = rows.iterator.map(_._1).filterNot(m.dirty.contains).map(_ -> ((0, false)))
+    versions.restore(m.dirty ++ clean)
+    rows.filterNot { case (vid, _, version) => versions.isStale(vid, version) }
+      .groupMap(_._1)(_._2).foreach { case (vid, pids) => replicas(vid) = pids }
   }
 
   // ------------------------------------------------------------ driver views
@@ -397,30 +427,6 @@ final class DistIndex private[distributed] (
       Iterator(n.toArray)
     }.collect().flatten.groupMapReduce(_._1)(_._2)(_ + _)
 
-  /** The visible rows `(vid, pid, version)` of `vids`, read in one
-    * filtered action labelled `label` that also settles the posting table:
-    * the rows that deletes and re-inserts made stale since the last settle
-    * come off its live counts. No action runs when there is nothing to
-    * read. A commit that follows may drop or rewrite a settled posting;
-    * either resets its counts.
-    */
-  private[distributed] def vidRows(vids: Set[Long], label: String): Seq[(Long, Long, Int)] = {
-    val stale = pending.toSet
-    val read = vids ++ stale.iterator.map(_._1)
-    if (read.isEmpty) return Seq.empty
-    val rows = labelled(label)(visibleRows((vid, _, _) => read(vid)).map(r => (r.vid, r.pid, r.version)).collect())
-    rows.foreach { case (vid, pid, version) =>
-      if (stale((vid, version))) table(pid) = table(pid).copy(live = table(pid).live - 1)
-    }
-    pending.clear()
-    rows.filter(r => vids(r._1)).toSeq
-  }
-
-  /** Settle the posting table's live counts (see [[vidRows]]): one
-    * filtered action, none when no row went stale since the last settle.
-    */
-  private[distributed] def settle(): Unit = vidRows(Set.empty, "lake settle")
-
   /** Live vector count. */
   def liveCount: Long = versions.liveIds.size.toLong
 
@@ -437,10 +443,11 @@ final class DistIndex private[distributed] (
     require(centroids.size > 0, "insertBatch before build")
     // Register versions on the driver (the in-memory version map). A known
     // id gets a version past its old one ([[VersionMap.register]]), so its
-    // rows carry that version and its old rows go stale.
+    // rows carry that version and its old rows go stale, unlinked now. An
+    // id twice in the batch so commits its first rows stale.
     val rows = vectors.select("id", "vec").collect().toSeq.flatMap { r =>
       val vid = r.getLong(0)
-      if (versions.isLive(vid)) pending += vid -> versions.currentVersion(vid)
+      unlink(vid)
       val version = versions.register(vid)
       val v = r.getSeq[Float](1).toArray
       closure(v).map(PostingRow(vid, _, version, v))
@@ -448,11 +455,12 @@ final class DistIndex private[distributed] (
     commit(rows)
   }
 
-  /** Batch delete: tombstones in the driver version map; physical rows are
-    * GC'd by later splits (§4.1 deferred deletion).
+  /** Batch delete: tombstones in the driver version map, and the vectors'
+    * replica links off their postings' live counts; physical rows are GC'd
+    * by later splits (§4.1 deferred deletion).
     */
   def deleteBatch(ids: Seq[Long]): Unit = ids.foreach { vid =>
-    if (versions.isLive(vid)) pending += vid -> versions.currentVersion(vid)
+    unlink(vid)
     versions.markDeleted(vid)
   }
 

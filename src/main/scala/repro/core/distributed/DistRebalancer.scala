@@ -28,7 +28,7 @@ final case class RebalanceStats(
   * balanced again. Which postings to split or merge it reads from the
   * lake's posting table, as the paper's rebuilder reads the block mapping's
   * length field (§4.3): no scan of the lake. A split round with oversized
-  * postings runs two one-job actions, and then commits:
+  * postings reads the lake once, in one Spark job, and then commits:
   *
   *  1. the split read of the engine's own split batch
   *     ([[Rebuilder.splitBatch]]): one filtered scan, with no shuffle, of
@@ -37,10 +37,9 @@ final case class RebalanceStats(
   *     oversized posting, allocates the fresh pids in ascending old-pid
   *     order, updates the centroid index and makes the Eq. 1 and Eq. 2
   *     candidates, as the engine's split job does for one posting;
-  *  2. the membership read of the reassign pass ([[Reassign.pass]]),
-  *     which also settles the posting table's live counts
-  *     ([[DistIndex.vidRows]]); none runs when no candidate would move and
-  *     no row went stale;
+  *  2. the reassign pass ([[Reassign.pass]]), whose membership reader
+  *     answers from the driver's replica map ([[DistIndex.links]]) and the
+  *     round's own rows, with no Spark job;
   *  3. the commit of the driver-held rows, as an insert commits: the
   *     driver writes only the round's new rows, the halves under their
   *     fresh pids, the GC'd postings' live rows and the moves'
@@ -54,12 +53,12 @@ final case class RebalanceStats(
   * its reassign range: `reassignRange` postings of up to `splitLimit` rows
   * each. A rebalance runs no shuffle.
   *
-  * A merge round settles the live counts first if no split round did, then
-  * runs the engine's own merge batch ([[Rebuilder.mergeBatch]]) over every
-  * undersized posting. Its read is the split round's reader over those
-  * postings, and its commit the split round's path: the reassign pass over
-  * the merged rows, then one commit of those rows under their targets and
-  * of the GC'd postings' live rows.
+  * A merge round runs the engine's own merge batch ([[Rebuilder.mergeBatch]])
+  * over every posting whose live count in the posting table, which deletes
+  * and re-inserts keep exact, is under the threshold. Its read is the
+  * split round's reader over those postings, and its commit the split
+  * round's path: the reassign pass over the merged rows, then one commit of
+  * those rows under their targets and of the GC'd postings' live rows.
   *
   * Convergence of the loop is the paper's §3.4 theorem — each round
   * strictly increases the centroid count, bounded by the number of live
@@ -86,8 +85,8 @@ final class DistRebalancer(idx: DistIndex) {
     * pids, whose one read is one action over the live rows of those
     * postings and of their reaches. The driver then commits the halves
     * under their fresh pids and each GC'd posting's live rows under its
-    * own ([[commitRound]]). Two one-job actions in all, this read and the
-    * reassign pass's membership read; the commit runs no Spark job.
+    * own ([[commitRound]]). This read is the round's one Spark job; the
+    * reassign pass and the commit run none.
     */
   private def splitRound(): RebalanceStats = {
     val oversized = idx.table.collect { case (pid, m) if Lire.needsSplit(m.raw.toInt, cfg) => pid }.toSeq
@@ -103,12 +102,9 @@ final class DistRebalancer(idx: DistIndex) {
     * threshold: the shared merge batch ([[Rebuilder.mergeBatch]]), whose
     * one read is one action over the live rows of those postings. The
     * driver then commits the merged rows under their targets and each GC'd
-    * posting's live rows under its own ([[commitRound]]). The live sizes
-    * are settled first, which takes an action only when no split round's
-    * membership read settled them.
+    * posting's live rows under its own ([[commitRound]]).
     */
   private def mergeRound(): RebalanceStats = {
-    idx.settle()
     // A posting can be all-stale (size 0 after reassigns): still merge it away.
     val undersized = idx.centroids.all.map(_._1)
       .filter(p => Lire.needsMerge(idx.table.get(p).fold(0L)(_.live).toInt, cfg)).toSeq
@@ -132,41 +128,45 @@ final class DistRebalancer(idx: DistIndex) {
 
   /** A round's commit: the round's reassign pass over `candidates`
     * ([[applyReassigns]]), then one commit of the `written` rows and the
-    * moves, which drops the `dropped` postings, restarts the `rewritten`
-    * ones and takes the stale rows off their postings' live counts. A round
-    * that drops and rewrites nothing commits nothing.
+    * moves, which drops the `dropped` postings and restarts the
+    * `rewritten` ones. The `written` rows are the live rows of those
+    * postings, so the commit unlinks their replicas there. A round that
+    * drops and rewrites nothing commits nothing.
     */
   private def commitRound(candidates: Seq[Reassign.Candidate], written: Seq[PostingRow],
                           dropped: Set[Long], rewritten: Set[Long]): RebalanceStats = {
     if (dropped.isEmpty && rewritten.isEmpty) return RebalanceStats()
-    val (reassigned, moves, staled) = applyReassigns(candidates, dropped ++ rewritten, written)
-    idx.commit(written ++ moves, TableEdit(staled = staled, dropped = dropped, rewritten = rewritten))
+    val (reassigned, moves) = applyReassigns(candidates, dropped ++ rewritten, written)
+    idx.commit(written ++ moves, TableEdit(dropped = dropped, rewritten = rewritten))
     reassigned
   }
 
   /** The round's reassign pass ([[Reassign.pass]]) on the driver, over
-    * the candidates in the order the round made them. The membership read
-    * is one action over every lake row of the would-be movers, which also
-    * settles the posting table ([[DistIndex.vidRows]]), plus the rows the
-    * commit writes; it also gives the live rows a move leaves stale.
+    * the candidates in the order the round made them. Its membership
+    * reader answers from memory: a would-be mover's replica links
+    * ([[DistIndex.links]]) outside the postings the commit hides, plus its
+    * rows the commit writes, all live and so at the vid's version now. Each
+    * mover's old links come off the replica map before the commit links
+    * its targets.
     *
     * @param candidates each homed in the posting it is checked from
     * @param hidden     postings whose lake rows the commit hides
-    * @param written    the rows the commit writes besides the moves, each live
-    * @return the checked and moved counts, the moves' rows, and the posting
-    *         of every visible row a move left stale
+    * @param written    the rows the commit writes besides the moves, each
+    *                   live when read
+    * @return the checked and moved counts, and the moves' rows
     */
   private def applyReassigns(candidates: Seq[Reassign.Candidate], hidden: Set[Long],
-                             written: Seq[PostingRow]): (RebalanceStats, Seq[PostingRow], Seq[Long]) = {
+                             written: Seq[PostingRow]): (RebalanceStats, Seq[PostingRow]) = {
     val (checked, moves) = Reassign.pass(candidates, idx.centroids, idx.versions, cfg) { movers =>
       val vids = movers.map(_._1).toSet
-      // The commit's own rows are live, so at the vid's version now.
-      val lake = idx.vidRows(vids, "lake reassign")
-        .collect { case (vid, pid, version) if !hidden(pid) => vid -> ((pid, version)) }
-      val fresh = written.collect { case r if vids(r.vid) => r.vid -> ((r.pid, idx.versions.currentVersion(r.vid))) }
-      (lake ++ fresh).groupMap(_._1)(_._2).withDefaultValue(Nil)
+      val fresh = written.collect { case r if vids(r.vid) => r.vid -> r.pid }.groupMap(_._1)(_._2)
+      vids.iterator.map { vid =>
+        val version = idx.versions.currentVersion(vid)
+        vid -> (idx.links(vid).filterNot(hidden) ++ fresh.getOrElse(vid, Nil)).map(_ -> version)
+      }.toMap
     }
+    moves.foreach(m => idx.unlink(m.c.vid))
     (RebalanceStats(reassignChecked = checked, reassignMoved = moves.size),
-      moves.flatMap(m => m.targets.map(PostingRow(m.c.vid, _, m.version, m.c.vec))), moves.flatMap(_.staled))
+      moves.flatMap(m => m.targets.map(PostingRow(m.c.vid, _, m.version, m.c.vec))))
   }
 }

@@ -6,7 +6,8 @@ import java.nio.file.{Files, Path, StandardCopyOption}
 import repro.core.LireConfig
 
 /** Everything a [[DistIndex]] needs to reopen: the lake's data files and
-  * the driver state of its last commit.
+  * the driver state of its last commit, but for the replica map, which
+  * `open` rebuilds from one read of the visible rows.
   *
   * @param seq       number of commits made so far
   * @param files     the lake's data files, relative to its data directory
@@ -14,8 +15,6 @@ import repro.core.LireConfig
   * @param centroids (pid, centroid) of every posting
   * @param table     the posting table
   * @param dirty     version-map states other than (version 0, live)
-  * @param pending   (vid, version) pairs whose rows stopped being live and
-  *                  are not yet taken off the table's live counts
   */
 private[distributed] final case class Manifest(
     seq: Int,
@@ -27,7 +26,6 @@ private[distributed] final case class Manifest(
     centroids: Seq[(Long, Array[Float])],
     table: Seq[(Long, PostingMeta)],
     dirty: Map[Long, (Int, Boolean)],
-    pending: Seq[(Long, Int)],
 ) {
 
   /** Write to a temp file next to `path`, sync it, rename it over `path`
@@ -53,8 +51,6 @@ private[distributed] final case class Manifest(
       }
       out.writeInt(dirty.size)
       dirty.foreach { case (vid, (v, d)) => out.writeLong(vid); out.writeInt(v); out.writeBoolean(d) }
-      out.writeInt(pending.size)
-      pending.foreach { case (vid, v) => out.writeLong(vid); out.writeInt(v) }
       out.flush()
       fos.getFD.sync()
     } finally out.close()
@@ -64,7 +60,7 @@ private[distributed] final case class Manifest(
 }
 
 private[distributed] object Manifest {
-  private val Magic = 0x4c414b31 // "LAK1"
+  private val Magic = 0x4c414b32 // "LAK2"
 
   def read(path: Path): Manifest = {
     val in = new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile)))
@@ -79,8 +75,7 @@ private[distributed] object Manifest {
       val centroids = Seq.fill(in.readInt())(in.readLong() -> Array.fill(dim)(in.readFloat()))
       val table = Seq.fill(in.readInt())(in.readLong() -> PostingMeta(in.readInt(), in.readLong(), in.readLong()))
       val dirty = Seq.fill(in.readInt())(in.readLong() -> ((in.readInt(), in.readBoolean()))).toMap
-      val pending = Seq.fill(in.readInt())((in.readLong(), in.readInt()))
-      Manifest(seq, dim, cfg, nextPid, fileRows, files, centroids, table, dirty, pending)
+      Manifest(seq, dim, cfg, nextPid, fileRows, files, centroids, table, dirty)
     } finally in.close()
   }
 }

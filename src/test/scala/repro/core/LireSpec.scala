@@ -246,7 +246,6 @@ class LireSpec extends SparkSpec {
     assert(m.version == 1 && versions.currentVersion(1L) == 1)
     assert(m.targets == Lire.closure(idx.nearest(Array(0f), cfg.maxReplicas), cfg.replicaEpsilon))
     assert(m.targets == Seq(1L, 2L))
-    assert(m.staled.sorted == Seq(0L, 3L))
   }
 
   // Figure 4 geometry: A (old) splits into A1 (left) and A2 (right).

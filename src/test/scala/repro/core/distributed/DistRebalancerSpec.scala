@@ -143,7 +143,7 @@ class DistRebalancerSpec extends SparkSpec {
     val rows = sides ++ near1 ++ replica :+ PostingRow(999L, 0L, 0, probe)
     Seq(Array(0f, 0f), Array(0f, 0.6f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
     rows.map(_.vid).distinct.foreach(idx.versions.register)
-    LakeChecks.commit(idx, rows)
+    idx.commit(rows)
     (idx, rows)
   }
 
@@ -175,7 +175,7 @@ class DistRebalancerSpec extends SparkSpec {
     Seq(Array(0f, 0f), Array(0f, 0.6f)).foreach(c => idx.centroids.insert(idx.freshPid(), c))
     (dead ++ near1).foreach(r => idx.versions.register(r.vid))
     dead.foreach(r => idx.versions.markDeleted(r.vid))
-    LakeChecks.commit(idx, dead ++ near1)
+    idx.commit(dead ++ near1)
     assert(new DistRebalancer(idx).run() == RebalanceStats(rounds = 2, gcOnlySplits = 1))
     assert(idx.table(0L).raw == 0 && idx.centroids.get(0L).isDefined)
     LakeChecks.tableMatchesScan(idx, "after the split of the dead posting")
@@ -243,7 +243,7 @@ class DistRebalancerSpec extends SparkSpec {
     val rows = blobs(0, 0f) ++ spread ++ dead ++ blobs(2, -1.6f) ++ third ++ far
     rows.foreach(r => idx.versions.register(r.vid))
     dead.foreach(r => idx.versions.markDeleted(r.vid))
-    LakeChecks.commit(idx, rows)
+    idx.commit(rows)
     val live = rows.filterNot(r => idx.versions.isStale(r.vid, r.version))
 
     val stats = new DistRebalancer(idx).run(maxRounds = 1)
@@ -278,7 +278,7 @@ class DistRebalancerSpec extends SparkSpec {
   }
 
   test("every job of a rebalance carries its maintenance phase's label") {
-    val labels = Set("lake settle", "lake split", "lake reassign", "lake merge", "lake compact", "lake search")
+    val labels = Set("lake split", "lake merge", "lake compact", "lake search")
     val sc = spark.sparkContext
     def labelsOf(run: => RebalanceStats): Set[String] = {
       val ((caller, after), descs) = jobDescriptions {
@@ -290,16 +290,18 @@ class DistRebalancerSpec extends SparkSpec {
       assert(descs.nonEmpty && descs.forall(labels), s"jobs without a phase label: ${descs.filterNot(labels)}")
       // The driver writes every commit's rows itself.
       assert(!descs.contains("lake commit"), s"a commit ran a Spark job: $descs")
+      // The driver's replica map settles live counts and answers the reassign pass.
+      assert(!descs.exists(Set("lake settle", "lake reassign")), s"a settle or membership read ran: $descs")
       descs.toSet
     }
     val (storm, stormBase) = fresh(200)
     storm.deleteBatch(stormBase.take(20).map(_.id))
     storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
-    assert(Set("lake split", "lake reassign").subsetOf(labelsOf(new DistRebalancer(storm).run())))
+    assert(Set("lake split").subsetOf(labelsOf(new DistRebalancer(storm).run())))
     val (drained, base) = fresh(300, seed = 11)
     val c = mix(11).centers.head
     drained.deleteBatch(base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id))
-    assert(Set("lake settle", "lake merge").subsetOf(labelsOf(new DistRebalancer(drained).run())))
+    assert(Set("lake merge").subsetOf(labelsOf(new DistRebalancer(drained).run())))
   }
 
   test("lake reads run no SQL query") {
@@ -313,18 +315,20 @@ class DistRebalancerSpec extends SparkSpec {
         .filter(j => reads(j._1))
       val sql = read.collect { case (label, execution) if execution != null => label }
       assert(sql.isEmpty, "lake reads ran as SQL queries")
-      read.map(_._1).toSet
+      val labels = read.map(_._1).toSet
+      assert(!labels.exists(Set("lake settle", "lake reassign")), s"a settle or membership read ran: $labels")
+      labels
     }
     val (storm, stormBase) = fresh(200)
     storm.deleteBatch(stormBase.take(20).map(_.id))
     storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
-    assert(Set("lake split", "lake reassign").subsetOf(readsOf(new DistRebalancer(storm).run())))
+    assert(Set("lake split").subsetOf(readsOf(new DistRebalancer(storm).run())))
     val queries = stormBase.drop(20).take(10).map(v => (v.id, v.vec)).toDF("qid", "qvec")
     assert(readsOf(storm.search(queries, k = 10).collect()) == Set("lake search"))
     val (drained, base) = fresh(300, seed = 11)
     val c = mix(11).centers.head
     drained.deleteBatch(base.sortBy(v => VectorMath.sqDist(v.vec, c)).take(200).map(_.id))
-    assert(Set("lake settle", "lake merge").subsetOf(readsOf(new DistRebalancer(drained).run())))
+    assert(Set("lake merge").subsetOf(readsOf(new DistRebalancer(drained).run())))
   }
 
   test("a rebalance's commits and reads run no Catalyst rule") {
@@ -350,7 +354,7 @@ class DistRebalancerSpec extends SparkSpec {
     rows.foreach(r => idx.versions.register(r.vid))
     // Committed in descending pid order, so the split read returns the
     // postings out of order; the pids must not depend on that.
-    LakeChecks.commit(idx, rows.reverse)
+    idx.commit(rows.reverse)
     assert(new DistRebalancer(idx).run(maxRounds = 1).splits == postings.length)
     val origins = idx.postings.select("pid", "vid").collect()
       .groupMap(_.getLong(0))(_.getLong(1) / 100).view.mapValues(_.toSet).toMap
@@ -375,13 +379,14 @@ class DistRebalancerSpec extends SparkSpec {
   test("rebalance counts are pinned: insert storm and mass deletion") {
     // Exact counts of two seeded scenarios: any change to what the lake's
     // LIRE does (not only how fast) shows here, and the storm's Spark job
-    // count shows any change to how many passes it makes over the lake.
+    // count shows any change to how many passes it makes over the lake:
+    // one split read per round that splits.
     val (storm, _) = fresh(200)
     storm.insertBatch(VectorGen.toDf(spark, VectorGen.draw(mix(), 400, 10000, seed = 5)))
     val (stormStats, stormJobs) = countJobs(new DistRebalancer(storm).run())
     assert(stormStats == RebalanceStats(rounds = 4, splits = 15,
       gcOnlySplits = 2, merges = 0, reassignChecked = 380, reassignMoved = 40))
-    assert(stormJobs == 5)
+    assert(stormJobs == 3)
     assert(storm.commits == 5)
     assert(storm.centroidSnapshot.length == 31)
 
@@ -445,6 +450,7 @@ class DistRebalancerSpec extends SparkSpec {
     shiftedEpochs(idx, base, pool, seed = 21)
     val reopened = DistIndex.open(spark, idx.rootDir)
     assert(reopened.table == idx.table)
+    assert(LakeChecks.replicaMap(reopened) == LakeChecks.replicaMap(idx))
     assert(reopened.centroidSnapshot.map { case (p, c) => p -> c.toSeq }.toMap ==
       idx.centroidSnapshot.map { case (p, c) => p -> c.toSeq }.toMap)
     assert(reopened.versions.snapshot() == idx.versions.snapshot())

@@ -9,14 +9,8 @@ import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions.{col, count, lit, sum, udf}
 import org.scalatest.Assertions._
 
-/** Hand-made lakes, and checks of the lake's driver state against its files. */
+/** Checks of the lake's driver state against its files. */
 object LakeChecks {
-
-  /** Commit hand-made rows to `idx`; a row that is stale by the driver's
-    * version map counts in its posting's raw length only.
-    */
-  def commit(idx: DistIndex, rows: Seq[PostingRow]): Unit =
-    idx.commit(rows, TableEdit(staled = rows.filter(r => idx.versions.isStale(r.vid, r.version)).map(_.pid)))
 
   /** UDF of the lake's liveness test `(vid, version)`, over the index's own
     * snapshot of it.
@@ -35,33 +29,43 @@ object LakeChecks {
       .filter(visible(col("pid"), col("seq"))).select("vid", "pid", "version", "vec")
   }
 
-  /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
-    * scan of the lake's files ([[visibleFileRows]]): the ground truth the
-    * posting table must equal. A row is live iff its vector's dirty state
-    * (`dirtyStates`) is absent and its version 0, or not tombstoned and at
-    * the state's version.
+  /** UDF of the liveness rule, written here from the index's dirty states
+    * (`dirtyStates`): a row is live iff its vector's state is absent and its
+    * version 0, or not tombstoned and at the state's version.
     */
-  def rawSizesAndLive(idx: DistIndex): Map[Long, (Long, Long)] = {
+  private def liveRule(idx: DistIndex): UserDefinedFunction = {
     val dirty = idx.dirtyStates
-    val live = udf((vid: Long, version: Int) => dirty.get(vid) match {
+    udf((vid: Long, version: Int) => dirty.get(vid) match {
       case None                  => version == 0
       case Some((cur, tombstone)) => !tombstone && version == cur
     })
-    visibleFileRows(idx).groupBy("pid").agg(count(lit(1)), sum(live(col("vid"), col("version")).cast("long")))
-      .collect().map(r => r.getLong(0) -> ((r.getLong(1), r.getLong(2)))).toMap
   }
 
-  /** The driver's posting table, with the rows of pending deletes and
-    * re-inserts settled, equals [[rawSizesAndLive]], a scan of the lake.
-    * Postings the table holds with no row are left out of the comparison,
-    * as the scan cannot see them; they must have a centroid.
+  /** Raw and live record counts per posting, `pid -> (raw, live)`, from one
+    * scan of the lake's files ([[visibleFileRows]]): the ground truth the
+    * posting table must equal.
+    */
+  def rawSizesAndLive(idx: DistIndex): Map[Long, (Long, Long)] =
+    visibleFileRows(idx).groupBy("pid").agg(count(lit(1)), sum(liveRule(idx)(col("vid"), col("version")).cast("long")))
+      .collect().map(r => r.getLong(0) -> ((r.getLong(1), r.getLong(2)))).toMap
+
+  /** The driver's replica map, each vector's pids sorted. */
+  def replicaMap(idx: DistIndex): Map[Long, Seq[Long]] =
+    idx.replicas.iterator.map { case (vid, pids) => vid -> pids.toSeq.sorted }.toMap
+
+  /** The driver's posting table equals [[rawSizesAndLive]], a scan of the
+    * lake, and its replica map the live `(vid, pid)` rows of that scan, one
+    * entry per row. Postings the table holds with no row are left out of
+    * the comparison, as the scan cannot see them; they must have a centroid.
     */
   def tableMatchesScan(idx: DistIndex, when: String): Unit = {
-    idx.settle()
     val table = idx.table.iterator.map { case (pid, m) => pid -> ((m.raw, m.live)) }.toMap
     val scanned = rawSizesAndLive(idx)
     assert(table.filter(_._2._1 > 0) == scanned, s"posting table != lake scan $when")
     assert(table.keySet.forall(idx.centroids.get(_).isDefined), s"a posting without a centroid $when")
+    val live = visibleFileRows(idx).filter(liveRule(idx)(col("vid"), col("version"))).select("vid", "pid")
+      .collect().toSeq.groupMap(_.getLong(0))(_.getLong(1)).map { case (vid, pids) => vid -> pids.sorted }
+    assert(replicaMap(idx) == live, s"replica map != live lake rows $when")
   }
 
   /** The lake's data files hold no more hidden rows than visible ones: a
